@@ -9,8 +9,7 @@ inference and supervised weight learning operate.
 from .facts import FactStore, load_facts
 from .graph import GroundedGraph, NumericGraph, deserialize, serialize
 from .grounder import (GroundingParams, Prover, approximate_ground,
-                       ground_full, pagerank_nibble, pagerank_nibble_prove,
-                       start_node)
+                       ground_full, pagerank_nibble, start_node)
 from .inference import (AnswerList, auc, average_precision, extract_answers,
                         power_iterate, rank_metrics)
 from .learner import (SgdConfig, TrainingExample, example_gradient,

@@ -52,22 +52,25 @@ class FactStore:
             self.arg_index.setdefault((pred, pos, val), []).append(len(rows))
         rows.append(args)
 
-    def match(self, query: Atom) -> list[Subst]:
-        """One substitution per matching ground tuple, in insertion order."""
+    def _postings(self, query: Atom):
+        """(rows, shortest posting list over the bound arguments or None)."""
         if query.pred not in self.tuples:
             raise FactError(f"unknown database predicate {query.pred}")
         if query.arity != self.arities[query.pred]:
             raise FactError(
                 f"{query.pred} queried with arity {query.arity}, "
                 f"stored arity is {self.arities[query.pred]}")
-        rows = self.tuples[query.pred]
-        # use the bound argument with the shortest posting list
         best = None
         for pos, qa in enumerate(query.args):
             if isinstance(qa, Const):
                 idx = self.arg_index.get((query.pred, pos, qa.name), [])
                 if best is None or len(idx) < len(best):
                     best = idx
+        return self.tuples[query.pred], best
+
+    def match(self, query: Atom) -> list[Subst]:
+        """One substitution per matching ground tuple, in insertion order."""
+        rows, best = self._postings(query)
         candidates = iter(rows) if best is None else (rows[i] for i in best)
         out = []
         for row in candidates:
@@ -83,8 +86,29 @@ class FactStore:
         return out
 
     def binding_count(self, query: Atom) -> int:
-        """Number of ground tuples matching the query pattern."""
-        return len(self.match(query))
+        """Number of ground tuples matching the query pattern.
+
+        Equal to ``len(self.match(query))`` but builds no substitutions:
+        with no repeated variable and at most one bound argument the
+        answer is a posting-list length (or the row count); otherwise the
+        shortest posting list is scanned.
+        """
+        rows, best = self._postings(query)
+        bound: list[tuple[int, str]] = []
+        var_pos: dict[Var, list[int]] = {}
+        for pos, qa in enumerate(query.args):
+            if isinstance(qa, Const):
+                bound.append((pos, qa.name))
+            else:
+                var_pos.setdefault(qa, []).append(pos)
+        repeats = [ps for ps in var_pos.values() if len(ps) > 1]
+        if not repeats and len(bound) <= 1:
+            return len(rows) if best is None else len(best)
+        candidates = iter(rows) if best is None else (rows[i] for i in best)
+        return sum(1 for row in candidates
+                   if all(row[pos] == name for pos, name in bound)
+                   and all(row[p] == row[ps[0]] for ps in repeats
+                           for p in ps[1:]))
 
 
 def load_facts(source: str) -> FactStore:

@@ -17,7 +17,8 @@ from .facts import FactStore
 from .graph import (DB_FEATURE, GroundedGraph, RESTART_FEATURE,
                     SELF_LOOP_FEATURE)
 from .parser import Clause, Program, standardize_apart
-from .terms import Atom, Subst, apply, canonicalize, unify, variables_of
+from .terms import (Atom, Const, Subst, Var, apply, canonicalize,
+                    rename_atoms, unify, variables_of)
 from .weights import FeatureVector, ParameterVector, WeightFn, edge_weight
 
 
@@ -80,6 +81,13 @@ class Prover:
         program.check_against_facts(store.predicates())
         self.program = program
         self.store = store
+        # Clause heads with negative variable ids, apart from any proof
+        # state's (canonical ids are >= 0), for degree_lower_bound.
+        self._apart_heads = {
+            pred: [rename_atoms([c.head], {v: Var(-1 - v.id) for v in
+                                          variables_of((c.head,))})[0]
+                   for c in clauses]
+            for pred, clauses in program.by_pred.items()}
 
     def expand(self, node: ProofNode) -> list[tuple[ProofNode, FeatureVector]]:
         """Successors of a non-solution node, excluding the restart edge.
@@ -144,6 +152,44 @@ class Prover:
             return {RESTART_FEATURE: n * alpha / (1.0 - alpha)}
         return {RESTART_FEATURE: 1.0}
 
+    def degree_lower_bound(self, node: ProofNode,
+                           start: ProofNode) -> Optional[int]:
+        """A cheap lower bound on the distinct targets of ``node``'s
+        successors plus its restart edge to ``start``, or None.
+
+        None for solution nodes and for a lone subgoal, the only goals
+        that can yield a solution child.  A database goal whose variables
+        all occur in the query or the remaining subgoals gets its binding
+        count: each match then yields a distinct child.  A rule goal gets
+        2 (one child and the restart) when some clause head unifies and no
+        child can be the start state; a child has the start's single
+        subgoal only if a body-less clause leaves a lone remaining
+        subgoal, so that subgoal differing from the start's settles it.
+        """
+        if len(node.subgoals) < 2:
+            return None
+        goal, rest = node.subgoals[0], node.subgoals[1:]
+        if goal.pred in self.store:
+            elsewhere = set(variables_of((*node.query, *rest)))
+            if all(v in elsewhere for v in variables_of((goal,))):
+                return self.store.binding_count(goal)
+            return None
+        if len(rest) == 1 and not _differs(rest[0], start.subgoals[0]):
+            return None
+        if any(unify(goal, head) is not None
+               for head in self._apart_heads.get(goal.pred, ())):
+            return 2
+        return None
+
+
+def _differs(atom: Atom, start: Atom) -> bool:
+    """Whether no substitution of ``atom``'s variables can give ``start``
+    (up to renaming): another predicate, or a constant where ``start`` has
+    a variable or another constant."""
+    return (atom.pred != start.pred or atom.arity != start.arity
+            or any(isinstance(a, Const) and a != b
+                   for a, b in zip(atom.args, start.args)))
+
 
 def transition_distribution(successors, restart_phi, w: ParameterVector,
                             fn: WeightFn, alpha_prime: float,
@@ -172,7 +218,7 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
 class PushStats:
     pushes: int = 0
     degree_sum: int = 0        # sum of |N(u)| over pushes
-    nodes_discovered: int = 0
+    nodes_discovered: int = 0  # nodes given an id (graph.num_nodes)
     residual_mass: float = 1.0
 
     def work_bound(self, alpha_prime: float, epsilon: float) -> float:
@@ -182,10 +228,14 @@ class PushStats:
 # An expander maps a node to its outgoing distribution:
 # node -> list of (target, probability, phi, is_restart).
 Expander = Callable[[Hashable], list]
+# A lower bound on the number of distinct targets of a node's expansion,
+# or None when no cheap bound is known.
+LowerBound = Callable[[Hashable], Optional[int]]
 
 
 def pagerank_nibble(start, expand: Expander, alpha_prime: float,
-                    epsilon: float, node_budget: int = 2_000_000):
+                    epsilon: float, node_budget: int = 2_000_000,
+                    lower_bound: Optional[LowerBound] = None):
     """Residual push approximation of the restart walk from ``start``.
 
     Works over any lazily-expandable graph whose every node has restart
@@ -193,26 +243,50 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     approximation p, the residual r (both keyed by graph node ids), and a
     GroundedGraph holding every edge examined by a push.
 
-    On return, r[u] <= epsilon * |N(u)| for every discovered node, hence
+    On return, r[u] <= epsilon * |N(u)| for every node with an id, hence
     the true walk mass exceeds p[u] by at most epsilon * |N(u)|.
+
+    A node is expanded when it is popped with r[u] > epsilon, and its
+    expansion is cached.  Only the start and the children of pushed
+    nodes get ids (when their parent is first pushed), plus any child
+    whose ``is_solution`` attribute is true (when its parent is
+    expanded); other children of an unpushed node are held in the cache
+    without an id.  So ``stats.nodes_discovered`` counts the nodes with
+    ids, and ``node_budget`` bounds those together with the distinct
+    states held in the cache.
+
+    ``lower_bound(node)`` may return a number of distinct targets the
+    node's expansion is certain to reach; the node is then not expanded
+    while r[u] <= epsilon * bound, since it could not be pushed.  It must
+    return None for a node that could have a solution child.  Under that
+    contract p, r, the graph and the stats are the same as without it.
     """
     g = GroundedGraph()
-    ids: dict = {}
+    ids: dict = {}          # payload -> node id
+    held: set = set()       # cached child states without an id
+
+    def admit(n: int):
+        if len(ids) + len(held) + n > node_budget:
+            raise BudgetError(
+                f"node budget {node_budget} exceeded; epsilon="
+                f"{epsilon} is too small for this budget")
 
     def node_id(payload) -> int:
         nid = ids.get(payload)
         if nid is None:
-            if len(ids) >= node_budget:
-                raise BudgetError(
-                    f"node budget {node_budget} exceeded; epsilon="
-                    f"{epsilon} is too small for this budget")
+            if payload in held:
+                held.remove(payload)
+            else:
+                admit(1)
             nid = g.add_node(payload)
             ids[payload] = nid
         return nid
 
     v0 = node_id(start)
     g.start = v0
-    expanded: dict[int, list] = {}   # id -> [(dst_id, prob, phi, is_restart)]
+    # id -> (edges, |N(u)|); edges hold target payloads until u is first
+    # pushed, then target ids.
+    expanded: dict[int, tuple[list, int]] = {}
     pushed: set[int] = set()
     p: dict[int, float] = {}
     r: dict[int, float] = {v0: 1.0}
@@ -220,13 +294,17 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     stack = [v0]
     queued = {v0}
 
-    def out_edges(u: int):
-        e = expanded.get(u)
-        if e is None:
-            e = [(node_id(t), prob, phi, isr)
-                 for t, prob, phi, isr in expand(g.nodes[u])]
-            expanded[u] = e
-        return e
+    def expand_node(u: int):
+        edges = expand(g.nodes[u])
+        for t, *_ in edges:
+            if getattr(t, "is_solution", False):
+                node_id(t)
+        targets = {t for t, *_ in edges}
+        new = targets.difference(ids, held)
+        admit(len(new))
+        held.update(new)
+        entry = expanded[u] = (edges, len(targets))
+        return entry
 
     while stack:
         u = stack.pop()
@@ -234,14 +312,22 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
         ru = r.get(u, 0.0)
         if ru <= epsilon:
             continue
-        edges = out_edges(u)
-        degree = len({dst for dst, *_ in edges})
+        entry = expanded.get(u)
+        if entry is None:
+            lo = lower_bound(g.nodes[u]) if lower_bound else None
+            if lo is not None and ru <= epsilon * lo:
+                continue
+            entry = expand_node(u)
+        edges, degree = entry
         if ru <= epsilon * degree:
             continue
         # Push: absorb an alpha' fraction, spread the rest over the
         # restart-adjusted distribution (restart edge gives up alpha').
         if u not in pushed:
             pushed.add(u)
+            edges = [(node_id(t), prob, phi, isr)
+                     for t, prob, phi, isr in edges]
+            expanded[u] = (edges, degree)
             for dst, _, phi, isr in edges:
                 g.add_edge(u, dst, phi, is_restart=isr)
         stats.pushes += 1
@@ -286,6 +372,9 @@ class _ProverExpander:
                                        self.fn, self.params.alpha_prime,
                                        restart_target=self.v0)
 
+    def lower_bound(self, node: ProofNode) -> Optional[int]:
+        return self.prover.degree_lower_bound(node, self.v0)
+
 
 def approximate_ground(query: Atom, program: Program, store: FactStore,
                        params: GroundingParams, w: ParameterVector,
@@ -300,16 +389,13 @@ def approximate_ground(query: Atom, program: Program, store: FactStore,
     prover = Prover(program, store)
     expander = _ProverExpander(prover, params, w, fn, v0)
     p, r, g, stats = pagerank_nibble(v0, expander, params.alpha_prime,
-                                     params.epsilon, params.node_budget)
+                                     params.epsilon, params.node_budget,
+                                     expander.lower_bound)
     g.query = repr(query)
     for nid, payload in enumerate(g.nodes):
         if payload.is_solution:
             g.solutions[nid] = payload.answer_text()
     return g, p, stats
-
-
-# The spec-facing name: grounding doubles as approximate inference.
-pagerank_nibble_prove = approximate_ground
 
 
 def ground_full(query: Atom, program: Program, store: FactStore,

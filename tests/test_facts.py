@@ -57,8 +57,19 @@ def test_unknown_predicate_errors():
 
 
 def test_binding_count_equals_match_length():
-    store = load_facts("links\ta\tb\nlinks\ta\tc\nlinks\tb\tc")
-    for q in ("links(a,Y)", "links(a,b)", "links(z,Y)", "links(X,Y)",
-              "links(X,c)"):
+    store = load_facts("links\ta\tb\nlinks\ta\tc\nlinks\tb\tc\n"
+                       "links\tc\tc\nedge\ta\ta\nedge\ta\tb\nedge\tb\tb\n"
+                       "t\ta\tb\ta\nt\ta\tb\tc\nt\tb\tb\tb\none\ta\tb")
+    queries = (
+        "links(a,Y)", "links(a,b)", "links(z,Y)", "links(X,Y)", "links(X,c)",
+        "edge(X,X)", "links(X,X)", "t(X,Y,X)", "t(X,X,X)", "t(a,Y,Y)",
+        "t(a,b,Z)", "t(a,b,c)", "t(a,c,Z)", "t(X,Y,Z)", "edge(X,Y)",
+        "edge(z,Y)", "edge(X,z)", "t(z,b,Z)", "one(X,Y)", "one(a,Y)",
+        "one(X,b)", "one(a,b)", "one(b,Y)", "one(X,X)")
+    for q in queries:
         atom = parse_atom(q)
-        assert store.binding_count(atom) == len(store.match(atom))
+        assert store.binding_count(atom) == len(store.match(atom)), q
+    assert store.binding_count(parse_atom("edge(X,X)")) == 2
+    assert store.binding_count(parse_atom("t(a,b,Z)")) == 2
+    assert store.binding_count(parse_atom("one(X,Y)")) == 1
+    assert store.binding_count(parse_atom("one(b,Y)")) == 0

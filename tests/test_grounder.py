@@ -3,7 +3,8 @@ import pytest
 from pprlog.facts import load_facts
 from pprlog.graph import RESTART_FEATURE
 from pprlog.grounder import (GroundingError, GroundingParams, Prover,
-                             ground_full, start_node, transition_distribution)
+                             ground_full, make_node, start_node,
+                             transition_distribution)
 from pprlog.parser import parse_atom, parse_program
 from pprlog.weights import EXP, LINEAR, ParameterVector
 
@@ -171,3 +172,37 @@ def test_ground_full_unknown_predicate(hyperlink_program, hyperlink_store):
                     ParameterVector(), LINEAR)
     assert g.num_nodes == 1
     assert all(e.is_restart for e in g.edges)
+
+
+@pytest.mark.parametrize("query,subgoals,bound", [
+    # database goal: one distinct child per match when its variables recur
+    ("p(X)", "q(X,Y),r(Y)", 3),
+    # ... but Y occurs only in the goal, so the three matches merge
+    ("p(a)", "q(a,Y),r(a)", None),
+    # a lone subgoal may yield solution children
+    ("p(a)", "r(a)", None),
+    ("p(a)", "q(a,Y)", None),
+    ("p(a)", "", None),
+    # rule goal: the lone remaining subgoal could rebuild the start state
+    ("p(a)", "t(a),p(a)", None),
+    ("p(a)", "t(a),p(X)", None),
+    ("p(a)", "t(b),p(b)", 2),
+    ("p(a)", "t(a),p(a),r(a)", 2),
+    ("p(a)", "t(a),s(a)", 2),
+    # no clause head unifies
+    ("p(a)", "u(a),p(b)", None),
+])
+def test_degree_lower_bound_cases(query, subgoals, bound):
+    program = parse_program("p(X) :- q(X,Y),r(Y).\nr(X) :- s(X).\n"
+                            "t(X) :- true.\nu(b) :- true.")
+    store = load_facts("q\ta\tb\nq\ta\tc\nq\ta\td\ns\ta")
+    prover = Prover(program, store)
+    start = start_node(parse_atom("p(a)"))
+    # parse the state as one clause body so its variables are shared
+    atoms = parse_program(f"x :- {','.join(filter(None, (query, subgoals)))}."
+                          ).clauses[0].body
+    node = make_node(atoms[:1], atoms[1:])
+    assert prover.degree_lower_bound(node, start) == bound
+    if bound is not None:
+        targets = {child for child, _ in prover.expand(node)} | {start}
+        assert bound <= len(targets)

@@ -6,12 +6,18 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (graph_expander, oracle_exact_ppr,
-                      oracle_transition_matrix, random_grounded_graph)
-from pprlog.graph import RESTART_FEATURE, GroundedGraph
-from pprlog.grounder import (BudgetError, GroundingParams, approximate_ground,
-                             pagerank_nibble)
-from pprlog.parser import parse_atom
+from conftest import (HYPERLINK_FACTS, TABLE_PROGRAM, graph_expander,
+                      oracle_exact_ppr, oracle_transition_matrix,
+                      random_grounded_graph)
+from pprlog.facts import load_facts
+from pprlog.graph import (RESTART_FEATURE, SELF_LOOP_FEATURE, GroundedGraph,
+                          serialize)
+from pprlog.grounder import (BudgetError, GroundingParams, Prover,
+                             approximate_ground, pagerank_nibble, start_node,
+                             transition_distribution)
+from pprlog.parser import parse_atom, parse_program
+from pprlog.synth import (CITATION_RULES, HYPERLINK_RULES, SyntheticDbSpec,
+                          citation_corpus, hyperlink_db)
 from pprlog.weights import LINEAR, ParameterVector
 
 ALPHA_PRIME = 0.1
@@ -166,3 +172,138 @@ def test_prover_grounding_bounds(hyperlink_program, hyperlink_store):
     assert g.num_edges <= bound
     answers = {g.solutions[n] for n in g.solutions if p.get(n, 0.0) > 0}
     assert {"about(a,fashion)", "about(a,sport)"} <= answers
+
+
+# ---------------------------------------------------------------------------
+# Groundings of real programs: the degree lower bound only skips work.
+
+def _grounding_cases():
+    """(name, program, store, queries): the toy hyperlink table, a
+    synthetic hyperlink database whose shared words fan out to ~45
+    documents, and a citation corpus with recursive rules."""
+    facts, queries = hyperlink_db(SyntheticDbSpec(300, 4.0, 20, 1),
+                                  num_queries=3)
+    cfacts, train, _ = citation_corpus(num_papers=4, seed=0)
+    return [
+        ("toy-hyperlink", parse_program(TABLE_PROGRAM),
+         load_facts(HYPERLINK_FACTS),
+         [parse_atom(q) for q in ("about(a,Z)", "about(b,Z)", "sim(a,Y)")]),
+        ("synth-hyperlink", parse_program(HYPERLINK_RULES), load_facts(facts),
+         [parse_atom(q) for q in queries.split()]),
+        ("citation", parse_program(CITATION_RULES), load_facts(cfacts),
+         [parse_atom(line.split("\t")[0]) for line in train.split("\n")
+          if line][:3]),
+    ]
+
+
+GROUNDING_CASES = _grounding_cases()
+CASE_IDS = [case[0] for case in GROUNDING_CASES]
+
+
+def composed_expander(prover, params, w, v0, record=None):
+    """The prover expander built from its public parts, as a caller (the
+    benchmark's tracer) composes it; ``record`` collects each expansion as
+    (node, distribution)."""
+    def expand(node):
+        if node.is_solution:
+            successors = [(node, {SELF_LOOP_FEATURE: 1.0})]
+            restart_phi = {RESTART_FEATURE: 1.0}
+        else:
+            successors = prover.expand(node)
+            restart_phi = prover.restart_features(node, params.alpha)
+        dist = transition_distribution(successors, restart_phi, w, LINEAR,
+                                       params.alpha_prime, restart_target=v0)
+        if record is not None:
+            record.append((node, dist))
+        return dist
+    return expand
+
+
+def hintless_ground(q, program, store, params, w, record=None):
+    """pagerank_nibble without a lower bound, labelled as
+    approximate_ground labels its graph."""
+    v0 = start_node(q)
+    expand = composed_expander(Prover(program, store), params, w, v0, record)
+    p, r, g, stats = pagerank_nibble(v0, expand, params.alpha_prime,
+                                     params.epsilon, params.node_budget)
+    g.query = repr(q)
+    for nid, payload in enumerate(g.nodes):
+        if payload.is_solution:
+            g.solutions[nid] = payload.answer_text()
+    return p, r, g, stats
+
+
+@pytest.mark.parametrize("case", GROUNDING_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_lower_bound_leaves_grounding_unchanged(case, eps):
+    _, program, store, queries = case
+    params = GroundingParams(epsilon=eps)
+    w = ParameterVector()
+    skipped = 0
+    for q in queries:
+        g, p, stats = approximate_ground(q, program, store, params, w, LINEAR)
+        hintless = []
+        hp, hr, hg, hstats = hintless_ground(q, program, store, params, w,
+                                             hintless)
+        assert p == hp
+        assert stats == hstats
+        assert serialize(g) == serialize(hg)
+        # every solution an expansion reaches has an id, as it had when
+        # every child of an expanded node got one
+        reached = {t for _, dist in hintless for t, *_ in dist
+                   if t.is_solution}
+        assert {g.nodes[nid] for nid in g.solutions} == reached
+        # the bounded loop's residuals, which approximate_ground drops
+        prover = Prover(program, store)
+        v0 = start_node(q)
+        bounded = []
+        bp, br, _, bstats = pagerank_nibble(
+            v0, composed_expander(prover, params, w, v0, bounded),
+            params.alpha_prime, params.epsilon, params.node_budget,
+            lambda node: prover.degree_lower_bound(node, v0))
+        assert (bp, br, bstats) == (hp, hr, hstats)
+        skipped += len(hintless) - len(bounded)
+    if case[0] == "synth-hyperlink" and eps == 1e-4:
+        assert skipped > 0      # the bound did skip expansions
+
+
+@pytest.mark.parametrize("case", GROUNDING_CASES, ids=CASE_IDS)
+def test_degree_lower_bound_is_sound(case):
+    _, program, store, queries = case
+    params = GroundingParams()
+    prover = Prover(program, store)
+    bounded = 0
+    for q in queries:
+        v0 = start_node(q)
+        record = []
+        hintless_ground(q, program, store, params, ParameterVector(), record)
+        for node, dist in record:
+            targets = {t for t, *_ in dist}
+            lo = prover.degree_lower_bound(node, v0)
+            if any(t.is_solution for t in targets):
+                assert lo is None, node
+            if lo is not None:
+                assert lo <= len(targets), node
+                bounded += 1
+    assert bounded > 0
+
+
+def test_node_budget_counts_held_states():
+    # Held (expanded but unpushed) children count toward the budget, so a
+    # budget of every state the expansions reach fits and one less does
+    # not, although fewer of them get node ids.
+    _, program, store, queries = GROUNDING_CASES[CASE_IDS.index(
+        "synth-hyperlink")]
+    q = queries[0]
+    w = ParameterVector()
+    record = []
+    _, _, g, _ = hintless_ground(q, program, store, GroundingParams(), w,
+                                 record)
+    reached = {start_node(q)} | {t for _, dist in record for t, *_ in dist}
+    assert g.num_nodes < len(reached)
+    fits = GroundingParams(node_budget=len(reached))
+    hintless_ground(q, program, store, fits, w)
+    approximate_ground(q, program, store, fits, w, LINEAR)
+    with pytest.raises(BudgetError):
+        hintless_ground(q, program, store,
+                        GroundingParams(node_budget=len(reached) - 1), w)
