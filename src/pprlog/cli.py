@@ -8,7 +8,6 @@ Subcommands:
 * ``train``  -- learn feature weights from labeled examples
 * ``eval``   -- score an answer file against labeled examples
 * ``synth``  -- generate synthetic hyperlink or citation datasets
-* ``bench``  -- compare the numba and numpy kernel backends
 
 All commands exit 0 on success; failures print a machine-parseable
 ``error<TAB>message`` line to stderr and exit nonzero.  Per-query
@@ -19,7 +18,6 @@ abort the run.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -239,60 +237,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Time the hot kernels on a random grounded-graph-shaped instance
-    under both backends (numba in-process; numpy via a subprocess with
-    PPRLOG_BACKEND=numpy when numba is active, and vice versa)."""
-    import json
-    import subprocess
-
-    payload = dict(nodes=args.nodes, degree=args.degree, T=args.T,
-                   reps=args.reps)
-    rows = [_bench_once(payload)]
-    other = {"numba": "numpy", "numpy": "numba"}[rows[0]["backend"]]
-    env = dict(os.environ, PPRLOG_BACKEND=other)
-    try:
-        out = subprocess.run(
-            [sys.executable, "-m", "pprlog.cli", "_bench-worker",
-             json.dumps(payload)],
-            capture_output=True, text=True, env=env, check=True)
-        rows.append(json.loads(out.stdout))
-    except subprocess.CalledProcessError as e:
-        print(f"warning\tbackend {other} unavailable: {e.stderr.strip()}",
-              file=sys.stderr)
-    print("backend\tpower_iter_s\tgrad_iter_s")
-    for row in rows:
-        print(f"{row['backend']}\t{row['power']:.6f}\t{row['grad']:.6f}")
-    return 0
-
-
-def _bench_once(payload: dict) -> dict:
-    import numpy as np
-
-    from .kernels import (backend_name, grad_power_iterate_arrays,
-                          power_iterate_arrays)
-    rng = np.random.default_rng(0)
-    n, deg, T, reps = (payload["nodes"], payload["degree"], payload["T"],
-                       payload["reps"])
-    src = np.repeat(np.arange(n), deg)
-    dst = rng.integers(0, n, n * deg)
-    prob = np.full(n * deg, 1.0 / deg)
-    F = 8
-    dprob = rng.normal(0, 0.01, (F, n * deg))
-    # Warm-up covers numba compilation so timings measure steady state.
-    power_iterate_arrays(src, dst, prob, n, 0, 2, 0.0)
-    grad_power_iterate_arrays(src, dst, prob, dprob, n, 0, 2)
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        power_iterate_arrays(src, dst, prob, n, 0, T, 0.0)
-    t_power = (time.perf_counter() - t0) / reps
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        grad_power_iterate_arrays(src, dst, prob, dprob, n, 0, T)
-    t_grad = (time.perf_counter() - t0) / reps
-    return {"backend": backend_name(), "power": t_power, "grad": t_grad}
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pprlog", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -339,22 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="compare kernel backends")
-    p.add_argument("--nodes", type=int, default=5000)
-    p.add_argument("--degree", type=int, default=8)
-    p.add_argument("--T", type=int, default=20)
-    p.add_argument("--reps", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
-
     return ap
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "_bench-worker":
-        import json
-        print(json.dumps(_bench_once(json.loads(argv[1]))))
-        return 0
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

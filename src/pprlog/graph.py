@@ -10,7 +10,6 @@ gradient propagation) can run over plain numpy buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -65,52 +64,62 @@ class GroundedGraph:
 class NumericGraph:
     """CSR arrays for a grounded graph, ready for the kernels.
 
-    Nodes with no outgoing edges (unexpanded frontier nodes of an
-    approximate grounding) are given an implicit probability-1 restart to
-    the start node; that edge carries no features and hence no gradient.
+    Edges are ordered by source node (stably, so each node's edges keep
+    their grounding order).  Nodes with no outgoing edges (unexpanded
+    frontier nodes of an approximate grounding) are given an implicit
+    probability-1 restart to the start node; that edge carries no
+    features and hence no gradient.  The feature vectors are flattened
+    into (edge, feature, value) triples ``ef_edge``/``ef_feat``/``ef_val``.
     """
 
     def __init__(self, g: GroundedGraph):
-        self.graph = g
         self.n = g.num_nodes
         self.start = g.start
-        self.feat_names = g.feature_names()
-        self.feat_index = {name: i for i, name in enumerate(self.feat_names)}
+        edges = g.edges
+        m = len(edges)
+        index: dict[str, int] = {}   # feature name -> id, in first-seen order
+        self.ef_feat = np.fromiter((index.setdefault(name, len(index))
+                                    for e in edges for name in e.phi),
+                                   dtype=np.int64)
+        self.feat_names = list(index)
+        self.ef_val = np.fromiter((val for e in edges
+                                   for val in e.phi.values()),
+                                  dtype=np.float64, count=len(self.ef_feat))
+        num_feats = np.fromiter((len(e.phi) for e in edges), dtype=np.int64,
+                                count=m)
+        src = np.fromiter((e.src for e in edges), dtype=np.int64, count=m)
+        dst = np.fromiter((e.dst for e in edges), dtype=np.int64, count=m)
+        restart = np.fromiter((e.is_restart for e in edges), dtype=bool,
+                              count=m)
 
-        order = sorted(range(len(g.edges)), key=lambda i: g.edges[i].src)
-        edges = [g.edges[i] for i in order]
-        dangling = set(range(self.n)) - {e.src for e in edges}
-        self._implicit = sorted(dangling)
-        for u in self._implicit:
-            edges.append(Edge(u, g.start, {}, is_restart=True))
-        edges.sort(key=lambda e: e.src)
-        self.edges = edges
+        has_out = np.zeros(self.n, dtype=bool)
+        has_out[src] = True
+        dangling = np.flatnonzero(~has_out)
+        implicit = np.ones(len(dangling), dtype=bool)
+        src = np.concatenate([src, dangling])
+        order = np.argsort(src, kind="stable")
+        self.src = src[order]
+        self.dst = np.concatenate([dst, np.full(len(dangling), g.start)])[order]
+        self.restart_mask = np.concatenate([restart, implicit])[order]
+        self.implicit_mask = np.concatenate(
+            [restart & (num_feats == 0), implicit])[order]
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        self.ef_edge = position[np.repeat(np.arange(m), num_feats)]
 
-        self.src = np.array([e.src for e in edges], dtype=np.int64)
-        self.dst = np.array([e.dst for e in edges], dtype=np.int64)
-        self.restart_mask = np.array([e.is_restart for e in edges], dtype=bool)
-        self.implicit_mask = np.array([not e.phi and e.is_restart
-                                       for e in edges], dtype=bool)
-
-        ef_edge, ef_feat, ef_val = [], [], []
-        for i, e in enumerate(edges):
-            for name, val in e.phi.items():
-                ef_edge.append(i)
-                ef_feat.append(self.feat_index[name])
-                ef_val.append(val)
-        self.ef_edge = np.array(ef_edge, dtype=np.int64)
-        self.ef_feat = np.array(ef_feat, dtype=np.int64)
-        self.ef_val = np.array(ef_val, dtype=np.float64)
+    @property
+    def num_edges(self) -> int:
+        return len(self.src)
 
     def weight_array(self, w: ParameterVector) -> np.ndarray:
         return np.array([w[name] for name in self.feat_names], dtype=np.float64)
 
     def raw_weights(self, w: ParameterVector, fn: WeightFn):
         """Per-edge dot products and raw weights f(w, phi)."""
-        dot = np.zeros(len(self.edges))
-        if len(self.ef_edge):
-            warr = self.weight_array(w)
-            np.add.at(dot, self.ef_edge, warr[self.ef_feat] * self.ef_val)
+        dot = np.bincount(self.ef_edge,
+                          weights=self.weight_array(w)[self.ef_feat]
+                          * self.ef_val,
+                          minlength=self.num_edges)
         if fn.name == "linear":
             raw = np.maximum(dot, LINEAR_FLOOR)
         else:
@@ -119,7 +128,7 @@ class NumericGraph:
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
             bad = int(np.argmin(np.where(np.isfinite(raw), raw, -np.inf)))
             raise ValueError(f"nonpositive or non-finite weight on edge "
-                             f"{self.edges[bad].src}->{self.edges[bad].dst}")
+                             f"{self.src[bad]}->{self.dst[bad]}")
         return dot, raw
 
     def probabilities(self, w: ParameterVector, fn: WeightFn,
@@ -131,24 +140,17 @@ class NumericGraph:
         weights after clamping, and the clamp mask.
         """
         dot, raw = self.raw_weights(w, fn)
-        m = len(self.edges)
-        nonrestart = np.where(self.restart_mask, 0.0, raw)
-        S = np.zeros(self.n)
-        np.add.at(S, self.src, nonrestart)
+        S = np.bincount(self.src, weights=np.where(self.restart_mask, 0.0, raw),
+                        minlength=self.n)
 
         eff = raw.copy()
         # Raise the restart weight wherever its share would fall below
         # alpha': Pr(restart) = r/(r+S) >= alpha'  <=>  r >= a'S/(1-a').
-        floor_per_node = alpha_prime * S / (1.0 - alpha_prime)
-        clamped = np.zeros(m, dtype=bool)
-        ridx = np.flatnonzero(self.restart_mask)
-        need = floor_per_node[self.src[ridx]]
-        lo = raw[ridx] < need
-        eff[ridx[lo]] = need[lo]
-        clamped[ridx[lo]] = True
+        floor = alpha_prime * S[self.src] / (1.0 - alpha_prime)
+        clamped = self.restart_mask & (raw < floor)
+        eff[clamped] = floor[clamped]
 
-        Z = np.zeros(self.n)
-        np.add.at(Z, self.src, eff)
+        Z = np.bincount(self.src, weights=eff, minlength=self.n)
         prob = eff / Z[self.src]
         return prob, {"dot": dot, "raw": raw, "eff": eff, "Z": Z,
                       "clamped": clamped}

@@ -1,112 +1,15 @@
-"""Hot numeric loops: edge-list power iteration and its derivative.
-
-Two interchangeable backends:
-
-* ``numba``: @njit(nogil=True) kernels (default when numba imports);
-* ``numpy``: pure-numpy fallback.
-
-Select explicitly with the environment variable ``PPRLOG_BACKEND=numba``
-or ``PPRLOG_BACKEND=numpy``.  The numba kernels release the GIL, which is
-what lets multi-threaded training overlap gradient computations.
+"""Hot numeric loops over an edge list: the power iteration, its
+forward-mode Jacobian, and the reverse (adjoint) sweep that training
+uses.  Plain numpy; ``np.bincount`` does the scatter-adds.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV = os.environ.get("PPRLOG_BACKEND", "").strip().lower()
-
-if _ENV not in ("", "numba", "numpy"):
-    raise ValueError(f"PPRLOG_BACKEND must be 'numba' or 'numpy', got {_ENV!r}")
-
-_HAVE_NUMBA = False
-if _ENV != "numpy":
-    try:
-        from numba import njit
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV == "numba":
-            raise
 
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def _power_iterate_np(src, dst, prob, n, start, T, tol):
-    v = np.zeros(n)
-    v[start] = 1.0
-    t = 0
-    for t in range(1, T + 1):
-        nxt = np.zeros(n)
-        np.add.at(nxt, dst, prob * v[src])
-        delta = np.abs(nxt - v).sum()
-        v = nxt
-        if delta < tol:
-            break
-    return v, t
-
-
-def _grad_power_iterate_np(src, dst, prob, dprob, n, start, T):
-    F = dprob.shape[0]
-    v = np.zeros(n)
-    v[start] = 1.0
-    grad = np.zeros((F, n))
-    for _ in range(T):
-        nxt = np.zeros(n)
-        np.add.at(nxt, dst, prob * v[src])
-        ngrad = np.zeros((F, n))
-        for i in range(F):
-            np.add.at(ngrad[i], dst, prob * grad[i, src] + dprob[i] * v[src])
-        v, grad = nxt, ngrad
-    return v, grad
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _power_iterate_nb(src, dst, prob, n, start, T, tol):  # pragma: no cover
-        v = np.zeros(n)
-        v[start] = 1.0
-        t = 0
-        for t in range(1, T + 1):
-            nxt = np.zeros(n)
-            for e in range(src.shape[0]):
-                nxt[dst[e]] += prob[e] * v[src[e]]
-            delta = 0.0
-            for i in range(n):
-                delta += abs(nxt[i] - v[i])
-            v = nxt
-            if delta < tol:
-                break
-        return v, t
-
-    @njit(cache=True, nogil=True)
-    def _grad_power_iterate_nb(src, dst, prob, dprob, n, start, T):  # pragma: no cover
-        F = dprob.shape[0]
-        v = np.zeros(n)
-        v[start] = 1.0
-        grad = np.zeros((F, n))
-        for _ in range(T):
-            nxt = np.zeros(n)
-            for e in range(src.shape[0]):
-                nxt[dst[e]] += prob[e] * v[src[e]]
-            ngrad = np.zeros((F, n))
-            for i in range(F):
-                for e in range(src.shape[0]):
-                    ngrad[i, dst[e]] += (prob[e] * grad[i, src[e]]
-                                         + dprob[i, e] * v[src[e]])
-            v = nxt
-            grad = ngrad
-        return v, grad
+    return "numpy"
 
 
 def power_iterate_arrays(src, dst, prob, n, start, T, tol):
@@ -115,18 +18,71 @@ def power_iterate_arrays(src, dst, prob, n, start, T, tol):
     Returns (v, steps_taken); stops early when the L1 change drops
     below tol.
     """
-    if _HAVE_NUMBA:
-        return _power_iterate_nb(src, dst, prob, n, start, T, tol)
-    return _power_iterate_np(src, dst, prob, n, start, T, tol)
+    v = np.zeros(n)
+    v[start] = 1.0
+    t = 0
+    for t in range(1, T + 1):
+        nxt = np.bincount(dst, weights=prob * v[src], minlength=n)
+        delta = np.abs(nxt - v).sum()
+        v = nxt
+        if delta < tol:
+            break
+    return v, t
+
+
+def row_bincount(idx, A, n):
+    """Row-wise scatter-add: out[i, j] = sum of A[i, e] over idx[e] == j."""
+    out = np.zeros((A.shape[0], n))
+    for i, row in enumerate(A):
+        out[i] = np.bincount(idx, weights=row, minlength=n)
+    return out
 
 
 def grad_power_iterate_arrays(src, dst, prob, dprob, n, start, T):
     """Walk distribution and its Jacobian wrt each of F edge-probability
-    parameter directions, from T unrolled iterations.
+    parameter directions, from T unrolled iterations (forward mode).
 
     ``dprob`` has shape (F, num_edges): d(prob[e])/d(param_i).  Returns
     (v, grad) with grad of shape (F, n).
     """
-    if _HAVE_NUMBA:
-        return _grad_power_iterate_nb(src, dst, prob, dprob, n, start, T)
-    return _grad_power_iterate_np(src, dst, prob, dprob, n, start, T)
+    v = np.zeros(n)
+    v[start] = 1.0
+    grad = np.zeros((dprob.shape[0], n))
+    for _ in range(T):
+        v_src = v[src]
+        nxt = np.bincount(dst, weights=prob * v_src, minlength=n)
+        ngrad = np.empty_like(grad)
+        # one row at a time: the (F, m) temporaries of a single
+        # expression fall out of cache and run slower
+        for i in range(len(grad)):
+            ngrad[i] = np.bincount(dst, weights=prob * grad[i, src]
+                                   + dprob[i] * v_src, minlength=n)
+        v, grad = nxt, ngrad
+    return v, grad
+
+
+def walk_history(src, dst, prob, n, start, T):
+    """The walk distributions v_0..v_T of T unrolled iterations, as the
+    rows of a (T + 1, n) array."""
+    V = np.zeros((T + 1, n))
+    V[0, start] = 1.0
+    for t in range(1, T + 1):
+        V[t] = np.bincount(dst, weights=prob * V[t - 1, src], minlength=n)
+    return V
+
+
+def prob_adjoint(src, dst, prob, V, coef):
+    """d(coef . v_T)/d(prob[e]) for every edge, by one reverse sweep over
+    the history ``V`` from ``walk_history``: with lambda_T = coef,
+
+        gprob[e]     += lambda_t[dst[e]] * v_{t-1}[src[e]]
+        lambda_{t-1}  = sum over e leaving u of prob[e] * lambda_t[dst[e]]
+    """
+    n = V.shape[1]
+    lam = coef
+    gprob = np.zeros(len(src))
+    for t in range(V.shape[0] - 1, 0, -1):
+        lam_dst = lam[dst]
+        gprob += lam_dst * V[t - 1, src]
+        lam = np.bincount(src, weights=prob * lam_dst, minlength=n)
+    return gprob

@@ -5,7 +5,8 @@ Each query is grounded once; the objective is a pairwise ranking loss on
 the walk mass of positive vs negative solution nodes, plus L2
 regularization, minimized by SGD with an epoch-decayed learning rate
 (eta / epoch^2).  Gradients come from exactly differentiating the
-unrolled power iteration on the fixed grounded graph.
+unrolled power iteration on the fixed grounded graph, in reverse mode
+over a numeric view built once per grounding.
 """
 
 from __future__ import annotations
@@ -13,15 +14,17 @@ from __future__ import annotations
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .graph import GroundedGraph, NumericGraph
 from .grounder import GroundingParams, approximate_ground
-from .kernels import grad_power_iterate_arrays
+from .kernels import (grad_power_iterate_arrays, prob_adjoint, row_bincount,
+                      walk_history)
 from .terms import Atom
-from .weights import ParameterVector, WeightFn
+from .weights import LINEAR_FLOOR, ParameterVector, WeightFn
 
 _LOG_CLIP = 1e-12
 
@@ -71,48 +74,65 @@ def pair_loss(h: float) -> tuple[float, float]:
     return 0.0, 0.0
 
 
+def _own_slopes(info: dict, fn: WeightFn) -> np.ndarray:
+    """d(effective raw weight)/d(dot) of each edge through its own
+    features: d raw/d dot of the weighting function, and zero on clamped
+    restarts, whose effective weight tracks the floor a'S/(1-a') instead.
+    (Implicit frontier restarts carry no features, so no slope reaches
+    a weight from them.)"""
+    if fn.name == "linear":
+        slope = (info["dot"] > LINEAR_FLOOR).astype(np.float64)
+    else:
+        slope = info["raw"].copy()
+    slope[info["clamped"]] = 0.0
+    return slope
+
+
 def ppr_gradient(g: GroundedGraph, w: ParameterVector, fn: WeightFn,
                  T: int = 10, alpha_prime: float = 0.1):
     """Walk mass and its gradient wrt every feature weight of the graph.
 
-    Differentiates the T-step power iteration exactly, renormalizing each
-    node's outgoing distribution and following the active branch of the
-    restart floor.  Returns (v, grads, feat_names)
-    with grads of shape (num_features, num_nodes).
+    Differentiates the T-step power iteration exactly in forward mode,
+    renormalizing each node's outgoing distribution and following the
+    active branch of the restart floor.  Returns (v, grads, feat_names)
+    with grads of shape (num_features, num_nodes).  Training takes the
+    same derivative in reverse mode (``example_gradient``); this full
+    Jacobian is the reference it is tested against.
     """
     ng = NumericGraph(g)
     prob, info = ng.probabilities(w, fn, alpha_prime)
-    m = len(ng.edges)
-    F = len(ng.feat_names)
-    if fn.name == "linear":
-        der = np.vectorize(fn.derivative)(info["dot"], info["raw"]) \
-            if m else np.zeros(0)
-    else:
-        der = info["raw"].copy()
-    # d(effective raw weight)/dw_i: a clamped restart ignores its own
-    # features but tracks the floor a'S/(1-a'), so it inherits the
-    # non-restart sum's derivative; implicit frontier restarts are constant.
-    frozen = info["clamped"] | ng.implicit_mask
-    deff = np.zeros((F, m))
-    for e, f, val in zip(ng.ef_edge, ng.ef_feat, ng.ef_val):
-        if not frozen[e]:
-            deff[f, e] += der[e] * val
-    if info["clamped"].any():
-        dS = np.zeros((F, ng.n))
-        keep = ~ng.restart_mask
-        for i in range(F):
-            np.add.at(dS[i], ng.src[keep], deff[i, keep])
-        cidx = np.flatnonzero(info["clamped"])
-        deff[:, cidx] = alpha_prime / (1.0 - alpha_prime) \
-            * dS[:, ng.src[cidx]]
-    dZ = np.zeros((F, ng.n))
-    for i in range(F):
-        np.add.at(dZ[i], ng.src, deff[i])
-    z_src = info["Z"][ng.src]
-    dprob = (deff - prob[None, :] * dZ[:, ng.src]) / z_src[None, :]
+    # deff[i, e] = d(effective raw weight of e)/dw_i
+    deff = np.zeros((len(ng.feat_names), ng.num_edges))
+    deff[ng.ef_feat, ng.ef_edge] = (_own_slopes(info, fn)[ng.ef_edge]
+                                    * ng.ef_val)
+    clamped = info["clamped"]
+    if clamped.any():
+        dS = row_bincount(ng.src, np.where(ng.restart_mask, 0.0, deff), ng.n)
+        deff[:, clamped] = alpha_prime / (1.0 - alpha_prime) \
+            * dS[:, ng.src[clamped]]
+    dZ = row_bincount(ng.src, deff, ng.n)
+    dprob = (deff - prob * dZ[:, ng.src]) / info["Z"][ng.src]
     v, grads = grad_power_iterate_arrays(ng.src, ng.dst, prob, dprob,
                                          ng.n, ng.start, T)
     return v, grads, ng.feat_names
+
+
+def _weight_gradient(ng: NumericGraph, prob, info: dict, fn: WeightFn,
+                     alpha_prime: float, gprob) -> np.ndarray:
+    """Chain d(loss)/d(prob[e]) back to the feature weights, in the
+    order of ``ng.feat_names``: the transpose of ppr_gradient's dprob."""
+    src = ng.src
+    # prob = eff / Z[src], Z = per-node sum of eff
+    s = np.bincount(src, weights=gprob * prob, minlength=ng.n)
+    geff = (gprob - s[src]) / info["Z"][src]
+    # a clamped restart's weight a'S/(1-a') passes its share on to the
+    # node's non-restart edges, which make up S
+    passed = alpha_prime / (1.0 - alpha_prime) * np.bincount(
+        src, weights=np.where(info["clamped"], geff, 0.0), minlength=ng.n)
+    graw = geff + np.where(ng.restart_mask, 0.0, passed[src])
+    gdot = graw * _own_slopes(info, fn)
+    return np.bincount(ng.ef_feat, weights=ng.ef_val * gdot[ng.ef_edge],
+                       minlength=len(ng.feat_names))
 
 
 @dataclass
@@ -142,6 +162,12 @@ class LabeledGrounding:
     @property
     def usable(self) -> bool:
         return bool(self.pos_nodes and self.neg_nodes)
+
+    @cached_property
+    def numeric(self) -> NumericGraph:
+        """The grounding's numeric view, built on first use; every SGD
+        step on this grounding reuses it."""
+        return NumericGraph(self.graph)
 
 
 def label_grounding(example: TrainingExample,
@@ -176,14 +202,18 @@ def example_gradient(lg: LabeledGrounding, w: ParameterVector, fn: WeightFn,
     """Gradient of the pairwise loss plus L2 term for one grounding.
 
     Returns (grad: dict feature -> float, loss, stats).  Regularization
-    is applied lazily, only to features the grounding touches.
+    is applied lazily, only to features the grounding touches.  The loss
+    is linear in the walk distribution v_T, so one reverse sweep over the
+    stored walk gives the whole weight gradient in O(T * num_edges).
     """
     if not lg.usable:
         raise ValueError(
             f"example {lg.example.query!r} has no usable positive/negative "
             f"solution nodes in its grounding")
-    v, grads, feat_names = ppr_gradient(lg.graph, w, fn, cfg.ppr_T,
-                                        alpha_prime)
+    ng = lg.numeric
+    prob, info = ng.probabilities(w, fn, alpha_prime)
+    V = walk_history(ng.src, ng.dst, prob, ng.n, ng.start, cfg.ppr_T)
+    v = V[-1]
     coef = np.zeros(len(v))
     loss = 0.0
     stats = PairStats(
@@ -205,9 +235,10 @@ def example_gradient(lg: LabeledGrounding, w: ParameterVector, fn: WeightFn,
                 loss += -np.log(pp) - np.log1p(-pn)
                 coef[up] += -1.0 / pp
                 coef[un] += 1.0 / (1.0 - pn)
-    gvec = grads @ coef
+    gvec = _weight_gradient(ng, prob, info, fn, alpha_prime,
+                            prob_adjoint(ng.src, ng.dst, prob, V, coef))
     grad = {}
-    for name, gval in zip(feat_names, gvec):
+    for name, gval in zip(ng.feat_names, gvec):
         if name in cfg.fixed_features:
             continue
         grad[name] = gval + 2.0 * cfg.mu * w[name]
@@ -307,8 +338,8 @@ def train(data, program, store, params: GroundingParams, cfg: SgdConfig,
     fn = fn or LINEAR
     groundings = ground_examples(data, program, store, params,
                                  ParameterVector(), fn)
-    one = SgdConfig(cfg.mu, cfg.eta, cfg.epochs, 1, cfg.loss, cfg.ppr_T)
-    return train_on_groundings(groundings, one, seed, params.alpha_prime, fn)
+    return train_on_groundings(groundings, replace(cfg, threads=1), seed,
+                               params.alpha_prime, fn)
 
 
 def train_parallel(data, program, store, params: GroundingParams,

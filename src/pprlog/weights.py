@@ -35,19 +35,14 @@ class ParameterVector(dict):
 class WeightFn:
     name: str
     value: Callable[[float], float]        # raw weight from the dot product
-    derivative: Callable[[float, float], float]  # d(raw)/d(dot) given (dot, raw)
 
 
 def _linear_value(dot: float) -> float:
     return dot if dot > LINEAR_FLOOR else LINEAR_FLOOR
 
 
-def _linear_derivative(dot: float, raw: float) -> float:
-    return 1.0 if dot > LINEAR_FLOOR else 0.0
-
-
-LINEAR = WeightFn("linear", _linear_value, _linear_derivative)
-EXP = WeightFn("exp", math.exp, lambda dot, raw: raw)
+LINEAR = WeightFn("linear", _linear_value)
+EXP = WeightFn("exp", math.exp)
 
 WEIGHT_FNS = {"linear": LINEAR, "exp": EXP}
 

@@ -154,11 +154,3 @@ def test_train_rejects_unlabelable_examples(workspace, capsys):
     assert code == 2
     assert "usable" in capsys.readouterr().err
 
-
-def test_bench_reports_both_backends(capsys):
-    assert run(["bench", "--nodes", "50", "--degree", "3",
-                "--T", "5", "--reps", "1"]) == 0
-    out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l and not l.startswith("backend\t")]
-    names = {l.split("\t")[0] for l in lines}
-    assert names <= {"numba", "numpy"} and len(names) >= 1

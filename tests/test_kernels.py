@@ -1,12 +1,12 @@
-"""Backend equivalence: the dispatched kernels (numba when available)
-must agree with the pure-numpy reference implementations."""
+"""The edge-list kernels against dense-matrix references, and the
+reverse sweep against the forward-mode Jacobian."""
 
 import numpy as np
 import pytest
 
-from pprlog import kernels
 from pprlog.kernels import (backend_name, grad_power_iterate_arrays,
-                            power_iterate_arrays)
+                            power_iterate_arrays, prob_adjoint,
+                            walk_history)
 
 
 def random_instance(seed, n=60, deg=4, F=5):
@@ -19,22 +19,45 @@ def random_instance(seed, n=60, deg=4, F=5):
     return src, dst, prob, dprob, n
 
 
+def dense_transition(src, dst, prob, n):
+    P = np.zeros((n, n))
+    np.add.at(P, (src, dst), prob)
+    return P
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_power_iterate_backends_agree(seed):
+def test_power_iterate_matches_dense_walk(seed):
     src, dst, prob, _, n = random_instance(seed)
-    v1, t1 = power_iterate_arrays(src, dst, prob, n, 0, 40, 1e-13)
-    v2, t2 = kernels._power_iterate_np(src, dst, prob, n, 0, 40, 1e-13)
-    assert t1 == t2
-    assert v1 == pytest.approx(v2, abs=1e-12)
+    v, steps = power_iterate_arrays(src, dst, prob, n, 0, 40, 0.0)
+    expected = np.linalg.matrix_power(dense_transition(src, dst, prob, n).T,
+                                      40)[:, 0]
+    assert steps == 40
+    assert v == pytest.approx(expected, abs=1e-12)
+    V = walk_history(src, dst, prob, n, 0, 40)
+    assert V.shape == (41, n)
+    assert V[0, 0] == 1.0 and V[0].sum() == 1.0
+    assert np.abs(V[-1] - v).max() < 1e-15
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_grad_backends_agree(seed):
+def test_reverse_sweep_matches_forward_jacobian(seed):
     src, dst, prob, dprob, n = random_instance(seed)
-    v1, g1 = grad_power_iterate_arrays(src, dst, prob, dprob, n, 0, 15)
-    v2, g2 = kernels._grad_power_iterate_np(src, dst, prob, dprob, n, 0, 15)
-    assert v1 == pytest.approx(v2, abs=1e-12)
-    assert np.abs(g1 - g2).max() < 1e-12
+    coef = np.random.default_rng(seed + 100).normal(0, 1, n)
+    v, grads = grad_power_iterate_arrays(src, dst, prob, dprob, n, 0, 15)
+    V = walk_history(src, dst, prob, n, 0, 15)
+    gprob = prob_adjoint(src, dst, prob, V, coef)
+    assert np.abs(V[-1] - v).max() < 1e-15
+    assert np.abs(dprob @ gprob - grads @ coef).max() < 1e-12
+    # the sweep's gprob is d(coef . v_T)/d prob[e]: check one edge by
+    # perturbing it alone
+    e, h = 7, 1e-6
+    bumped = []
+    for sign in (1, -1):
+        p = prob.copy()
+        p[e] += sign * h
+        bumped.append(coef @ walk_history(src, dst, p, n, 0, 15)[-1])
+    assert gprob[e] == pytest.approx((bumped[0] - bumped[1]) / (2 * h),
+                                     rel=1e-6, abs=1e-9)
 
 
 def test_walk_mass_is_conserved():
@@ -55,4 +78,4 @@ def test_early_stop_on_tolerance():
 
 
 def test_backend_name_is_valid():
-    assert backend_name() in ("numba", "numpy")
+    assert backend_name() == "numpy"
