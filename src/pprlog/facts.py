@@ -9,8 +9,9 @@ scans only that argument's posting list rather than the whole relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .terms import Atom, Const, Subst, Var, walk
+from .terms import SYMBOLS, Atom, Const, IntAtom, Var, encode, intern
 
 
 class FactError(Exception):
@@ -19,115 +20,131 @@ class FactError(Exception):
 
 @dataclass
 class FactStore:
-    tuples: dict[str, list[tuple[str, ...]]] = field(default_factory=dict)
-    arities: dict[str, int] = field(default_factory=dict)
-    # (predicate, argument position, value) -> row indices into tuples[pred]
-    arg_index: dict[tuple[str, int, str], list[int]] = field(
+    """Ground tuples as int-coded rows (symbol ids from ``terms.intern``).
+
+    Lookups take an int-coded goal ``(pred_id, arg, ...)`` whose negative
+    args are variables.  ``match`` and ``binding_count`` also take an
+    ``Atom``, for callers outside the prover.
+    """
+    tuples: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+    arities: dict[int, int] = field(default_factory=dict)
+    # (predicate id, argument position, constant id) -> row indices into
+    # tuples[pred_id]
+    arg_index: dict[tuple[int, int, int], list[int]] = field(
         default_factory=dict)
     duplicate_count: int = 0
     _seen: set[tuple] = field(default_factory=set, repr=False)
 
     def predicates(self) -> dict[str, int]:
-        return dict(self.arities)
-
-    def __contains__(self, pred: str) -> bool:
-        return pred in self.tuples
+        return {SYMBOLS[pid]: arity for pid, arity in self.arities.items()}
 
     def count(self, pred: str) -> int:
-        return len(self.tuples.get(pred, ()))
+        return len(self.tuples.get(intern(pred), ()))
 
-    def add(self, pred: str, args: tuple[str, ...]):
-        if pred in self.arities and self.arities[pred] != len(args):
+    def add(self, pred: str, args: Sequence[str]):
+        key = (intern(pred), *map(intern, args))
+        pid, row = key[0], key[1:]
+        if self.arities.setdefault(pid, len(row)) != len(row):
             raise FactError(
-                f"ragged arity for {pred}: got {len(args)} args, "
-                f"expected {self.arities[pred]}")
-        key = (pred, *args)
+                f"ragged arity for {pred}: got {len(row)} args, "
+                f"expected {self.arities[pid]}")
         if key in self._seen:
             self.duplicate_count += 1
             return
         self._seen.add(key)
-        self.arities[pred] = len(args)
-        rows = self.tuples.setdefault(pred, [])
-        for pos, val in enumerate(args):
-            self.arg_index.setdefault((pred, pos, val), []).append(len(rows))
-        rows.append(args)
+        rows = self.tuples.setdefault(pid, [])
+        index = self.arg_index
+        for pos, val in enumerate(row):
+            index.setdefault((pid, pos, val), []).append(len(rows))
+        rows.append(row)
 
-    def _postings(self, query: Atom):
-        """(rows, shortest posting list over the bound arguments or None)."""
-        if query.pred not in self.tuples:
-            raise FactError(f"unknown database predicate {query.pred}")
-        if query.arity != self.arities[query.pred]:
+    def _postings(self, goal: IntAtom):
+        """(rows, shortest posting list over the bound arguments or None,
+        whether every row it selects matches the goal).
+
+        All selected rows match when at most one argument is bound and no
+        variable repeats.
+        """
+        pid = goal[0]
+        if pid not in self.tuples:
+            raise FactError(f"unknown database predicate {SYMBOLS[pid]}")
+        if len(goal) - 1 != self.arities[pid]:
             raise FactError(
-                f"{query.pred} queried with arity {query.arity}, "
-                f"stored arity is {self.arities[query.pred]}")
+                f"{SYMBOLS[pid]} queried with arity {len(goal) - 1}, "
+                f"stored arity is {self.arities[pid]}")
         best = None
-        for pos, qa in enumerate(query.args):
-            if isinstance(qa, Const):
-                idx = self.arg_index.get((query.pred, pos, qa.name), [])
+        bound = 0
+        for pos, a in enumerate(goal[1:]):
+            if a >= 0:
+                bound += 1
+                idx = self.arg_index.get((pid, pos, a), ())
                 if best is None or len(idx) < len(best):
                     best = idx
-        return self.tuples[query.pred], best
+        free = len(goal) - 1 - bound
+        exact = bound <= 1 and len({a for a in goal if a < 0}) == free
+        return self.tuples[pid], best, exact
 
-    def match(self, query: Atom) -> list[Subst]:
-        """One substitution per matching ground tuple, in insertion order."""
-        rows, best = self._postings(query)
-        candidates = iter(rows) if best is None else (rows[i] for i in best)
-        out = []
-        for row in candidates:
-            s: Subst = {}
-            for qa, val in zip(query.args, row):
-                qa = walk(qa, s)
-                if isinstance(qa, Var):
-                    s[qa] = Const(val)
-                elif qa.name != val:
-                    break
-            else:
-                out.append(s)
-        return out
+    def match(self, goal):
+        """The rows matching an int-coded goal, in insertion order.
 
-    def binding_count(self, query: Atom) -> int:
-        """Number of ground tuples matching the query pattern.
-
-        Equal to ``len(self.match(query))`` but builds no substitutions:
-        with no repeated variable and at most one bound argument the
-        answer is a posting-list length (or the row count); otherwise the
-        shortest posting list is scanned.
+        For an ``Atom`` query, one substitution per matching row instead.
         """
-        rows, best = self._postings(query)
-        bound: list[tuple[int, str]] = []
-        var_pos: dict[Var, list[int]] = {}
-        for pos, qa in enumerate(query.args):
-            if isinstance(qa, Const):
-                bound.append((pos, qa.name))
-            else:
-                var_pos.setdefault(qa, []).append(pos)
-        repeats = [ps for ps in var_pos.values() if len(ps) > 1]
-        if not repeats and len(bound) <= 1:
-            return len(rows) if best is None else len(best)
-        candidates = iter(rows) if best is None else (rows[i] for i in best)
-        return sum(1 for row in candidates
-                   if all(row[pos] == name for pos, name in bound)
-                   and all(row[p] == row[ps[0]] for ps in repeats
-                           for p in ps[1:]))
+        if isinstance(goal, Atom):
+            variables = {-1 - t.id: t for t in goal.args
+                         if isinstance(t, Var)}
+            goal = encode(goal)
+            return [{variables[a]: Const(SYMBOLS[val])
+                     for a, val in zip(goal[1:], row) if a < 0}
+                    for row in self.match(goal)]
+        rows, best, exact = self._postings(goal)
+        if best is not None:
+            rows = map(rows.__getitem__, best)
+        if exact:
+            return list(rows)
+        return [row for row in rows if _fits(goal, row)]
+
+    def binding_count(self, goal) -> int:
+        """Number of rows matching the goal (int-coded or an ``Atom``).
+
+        Equal to ``len(self.match(goal))`` but builds no rows: when every
+        selected row matches, the answer is a posting-list length (or the
+        row count); otherwise the shortest posting list is scanned.
+        """
+        if isinstance(goal, Atom):
+            goal = encode(goal)
+        rows, best, exact = self._postings(goal)
+        if exact:
+            return len(rows if best is None else best)
+        if best is not None:
+            rows = map(rows.__getitem__, best)
+        return sum(1 for row in rows if _fits(goal, row))
+
+
+def _fits(goal: IntAtom, row: tuple[int, ...]) -> bool:
+    """Whether the row has the goal's constants and equal values wherever
+    the goal repeats a variable."""
+    binding: dict[int, int] = {}
+    return all((a if a >= 0 else binding.setdefault(a, val)) == val
+               for a, val in zip(goal[1:], row))
 
 
 def load_facts(source: str) -> FactStore:
     """Load a TSV facts file; duplicates are dropped and counted."""
     store = FactStore()
     for lineno, line in enumerate(source.splitlines(), 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("%"):
+        head = line.lstrip()
+        if not head or head[0] == "%":
             continue
         parts = line.split("\t")
         if len(parts) < 2:
             raise FactError(f"line {lineno}: expected predicate<TAB>args, "
                             f"got {line!r}")
-        pred, *args = parts
+        args = parts[1:]
         for a in args:
             if a and (a[0].isupper() or a[0] == "_"):
                 raise FactError(f"line {lineno}: non-ground entry {a!r}")
         try:
-            store.add(pred, tuple(args))
+            store.add(parts[0], args)
         except FactError as e:
             raise FactError(f"line {lineno}: {e}") from None
     return store

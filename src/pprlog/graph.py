@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import FeatureVector, LINEAR_FLOOR, ParameterVector, WeightFn
+from .weights import (EXP, LINEAR, LINEAR_FLOOR, FeatureVector,
+                      ParameterVector, WeightFn)
 
 RESTART_FEATURE = "defRestart"
 DB_FEATURE = "db"
@@ -120,10 +121,13 @@ class NumericGraph:
                           weights=self.weight_array(w)[self.ef_feat]
                           * self.ef_val,
                           minlength=self.num_edges)
-        if fn.name == "linear":
+        if fn == LINEAR:
             raw = np.maximum(dot, LINEAR_FLOOR)
-        else:
+        elif fn == EXP:
             raw = np.exp(dot)
+        else:
+            raise ValueError(f"weight function {fn.name!r} has no array "
+                             f"form; use linear or exp")
         raw = np.where(self.implicit_mask, 1.0, raw)
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
             bad = int(np.argmin(np.where(np.isfinite(raw), raw, -np.inf)))

@@ -16,9 +16,8 @@ from typing import Callable, Hashable, Optional
 from .facts import FactStore
 from .graph import (DB_FEATURE, GroundedGraph, RESTART_FEATURE,
                     SELF_LOOP_FEATURE)
-from .parser import Clause, Program, standardize_apart
-from .terms import (Atom, Const, Subst, Var, apply, canonicalize,
-                    rename_atoms, unify, variables_of)
+from .parser import Clause, Program
+from .terms import Atom, IntAtom, decode, encode, intern, variables_of
 from .weights import FeatureVector, ParameterVector, WeightFn, edge_weight
 
 
@@ -47,47 +46,147 @@ class GroundingParams:
             raise ValueError("epsilon must be in (0,1)")
 
 
-@dataclass(frozen=True)
-class ProofNode:
-    """(transformed query, remaining subgoals); empty subgoals = solution."""
-    query: tuple[Atom, ...]
-    subgoals: tuple[Atom, ...]
+class ProofNode(tuple):
+    """A proof state (transformed query, remaining subgoals); empty
+    subgoals = solution.
+
+    Both parts are tuples of int-coded atoms ``(pred_id, arg, ...)``
+    (see ``terms``) whose variables are renamed -1, -2, ... jointly in
+    first-occurrence order, so alpha-equivalent states are equal tuples.
+    """
+    __slots__ = ()
+
+    @property
+    def query(self) -> tuple[IntAtom, ...]:
+        return self[0]
+
+    @property
+    def subgoals(self) -> tuple[IntAtom, ...]:
+        return self[1]
 
     @property
     def is_solution(self) -> bool:
-        return not self.subgoals
+        return not self[1]
 
     def answer_text(self) -> str:
-        return ",".join(map(repr, self.query))
+        return ",".join(repr(decode(a)) for a in self[0])
 
     def __repr__(self):
-        return f"<{self.answer_text()} | {','.join(map(repr, self.subgoals))}>"
+        return (f"<{self.answer_text()} | "
+                f"{','.join(repr(decode(a)) for a in self[1])}>")
+
+
+def _renaming(atoms, s: dict[int, int]) -> dict[int, int]:
+    """The idempotent substitution ``s`` extended to rename each variable
+    it leaves free in ``atoms`` to -1, -2, ... in first-occurrence order.
+    ``_state`` applies it in one pass to give the canonical state."""
+    free: dict[int, int] = {}
+    for atom in atoms:
+        for a in atom:
+            if a < 0:
+                a = s.get(a, a)
+                if a < 0 and a not in free:
+                    free[a] = -1 - len(free)
+    m = {k: free.get(v, v) for k, v in s.items()}
+    m.update(free)
+    return m
+
+
+def _state(query, subgoals, m: dict[int, int]) -> ProofNode:
+    """The state of the int-coded atoms with ``m`` applied once."""
+    get = m.get
+    return ProofNode((tuple([tuple(map(get, a, a)) for a in query]),
+                      tuple([tuple(map(get, a, a)) for a in subgoals])))
 
 
 def make_node(query: tuple[Atom, ...], subgoals: tuple[Atom, ...]) -> ProofNode:
     """Canonicalize variables jointly so alpha-equivalent states merge."""
-    renamed = canonicalize((*query, *subgoals))
-    return ProofNode(renamed[:len(query)], renamed[len(query):])
+    query = [encode(a) for a in query]
+    subgoals = [encode(a) for a in subgoals]
+    return _state(query, subgoals, _renaming((*query, *subgoals), {}))
 
 
 def start_node(query: Atom) -> ProofNode:
     return make_node((query,), (query,))
 
 
+def _num_vars(node: ProofNode) -> int:
+    """n for a state whose variables are -1..-n."""
+    return -min(0, *map(min, node[0]), *map(min, node[1]))
+
+
+def _unify(goal: IntAtom, head: IntAtom) -> Optional[dict[int, int]]:
+    """Most general unifier of two int-coded atoms as an idempotent
+    substitution, or None.  Variables are bound goal side first."""
+    if len(goal) != len(head) or goal[0] != head[0]:
+        return None
+    s: dict[int, int] = {}
+    for x, y in zip(goal, head):
+        while x in s:
+            x = s[x]
+        while y in s:
+            y = s[y]
+        if x == y:
+            continue
+        if x < 0:
+            s[x] = y
+        elif y < 0:
+            s[y] = x
+        else:
+            return None  # distinct constants
+    for x, y in s.items():
+        while y in s:
+            y = s[y]
+        s[x] = y
+    return s
+
+
 class Prover:
-    """Expands proof states over an immutable program and fact store."""
+    """Expands proof states over an immutable program and fact store.
+
+    Each clause is compiled once to int-coded atoms, its variables
+    numbered -1, -2, ... in first-occurrence order; it is standardized
+    apart from a state with variables -1..-n by offsetting those by n.
+    """
 
     def __init__(self, program: Program, store: FactStore):
         program.check_against_facts(store.predicates())
         self.program = program
         self.store = store
-        # Clause heads with negative variable ids, apart from any proof
-        # state's (canonical ids are >= 0), for degree_lower_bound.
-        self._apart_heads = {
-            pred: [rename_atoms([c.head], {v: Var(-1 - v.id) for v in
-                                          variables_of((c.head,))})[0]
-                   for c in clauses]
+        self._clauses = {
+            intern(pred): [(c, encode(c.head), tuple(map(encode, c.body)),
+                            tuple(map(encode, c.features))) for c in clauses]
             for pred, clauses in program.by_pred.items()}
+        self._apart: dict[tuple[int, int], list] = {}
+        self._feature_names: dict[IntAtom, str] = {}
+
+    def _clauses_apart(self, pred: int, n: int) -> list:
+        """(clause, head, body, features) for a predicate, with variables
+        apart from a state's -1..-n."""
+        key = (pred, n)
+        out = self._apart.get(key)
+        if out is None:
+            def shift(atom):
+                return tuple(a - n if a < 0 else a for a in atom)
+            out = self._apart[key] = [
+                (c, shift(head), tuple(map(shift, body)),
+                 tuple(map(shift, feats)))
+                for c, head, body, feats in self._clauses.get(pred, ())]
+        return out
+
+    def _feature_name(self, feat: IntAtom, clause: Clause, goal: IntAtom,
+                      n: int) -> str:
+        name = self._feature_names.get(feat)
+        if name is None:
+            if min(feat) < 0:
+                names = {-1 - n - v.id: v.name for v in variables_of(
+                    (*clause.atoms(), *clause.features))}
+                raise GroundingError(
+                    f"non-ground feature {decode(feat, names)!r} when "
+                    f"applying clause {clause.id} ({clause!r}) to "
+                    f"{decode(goal)!r}")
+            name = self._feature_names[feat] = repr(decode(feat))
+        return name
 
     def expand(self, node: ProofNode) -> list[tuple[ProofNode, FeatureVector]]:
         """Successors of a non-solution node, excluding the restart edge.
@@ -99,36 +198,36 @@ class Prover:
         """
         if node.is_solution:
             raise ValueError("solution nodes have no subgoals to expand")
-        goal, rest = node.subgoals[0], node.subgoals[1:]
+        query, subgoals = node
+        goal, rest = subgoals[0], subgoals[1:]
         merged: dict[tuple, list] = {}
 
         def emit(child: ProofNode, phi: FeatureVector):
             key = (child, tuple(sorted(phi.items())))
-            entry = merged.setdefault(key, [child, phi, 0])
-            entry[2] += 1
+            merged.setdefault(key, [child, phi, 0])[2] += 1
 
-        if goal.pred in self.store:
-            for s in self.store.match(goal):
-                child = make_node(apply(s, node.query), apply(s, rest))
-                emit(child, {DB_FEATURE: 1.0})
+        if goal[0] in self.store.tuples:
+            # A match binds every goal variable, so the other variables
+            # are renamed alike for every row.
+            m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
+            args = goal[1:]
+            for row in self.store.match(goal):
+                m.update(zip(args, row))
+                emit(_state(query, rest, m), {DB_FEATURE: 1.0})
         else:
-            fresh = 1 + max((v.id for v in variables_of(
-                (*node.query, *node.subgoals))), default=-1)
-            for clause in self.program.clauses_for(goal.pred):
-                c = standardize_apart(clause, fresh)
-                sigma = unify(goal, c.head)
+            n = _num_vars(node)
+            for clause, head, body, features in self._clauses_apart(goal[0],
+                                                                    n):
+                sigma = _unify(goal, head)
                 if sigma is None:
                     continue
-                child = make_node(apply(sigma, node.query),
-                                  apply(sigma, (*c.body, *rest)))
+                child = _state(query, (*body, *rest),
+                               _renaming((*query, *body, *rest), sigma))
                 phi: FeatureVector = {}
-                for feat in c.features:
-                    ground = apply(sigma, feat)
-                    if not ground.is_ground():
-                        raise GroundingError(
-                            f"non-ground feature {ground!r} when applying "
-                            f"clause {clause.id} ({clause!r}) to {goal!r}")
-                    phi[repr(ground)] = phi.get(repr(ground), 0.0) + 1.0
+                for feat in features:
+                    name = self._feature_name(tuple(map(sigma.get, feat, feat)),
+                                              clause, goal, n)
+                    phi[name] = phi.get(name, 0.0) + 1.0
                 emit(child, phi)
 
         out = []
@@ -147,7 +246,7 @@ class Prover:
         the restart floor later replaces, making the dead end restart-only.
         """
         goal = node.subgoals[0]
-        if goal.pred in self.store:
+        if goal[0] in self.store.tuples:
             n = self.store.binding_count(goal)
             return {RESTART_FEATURE: n * alpha / (1.0 - alpha)}
         return {RESTART_FEATURE: 1.0}
@@ -162,33 +261,37 @@ class Prover:
         all occur in the query or the remaining subgoals gets its binding
         count: each match then yields a distinct child.  A rule goal gets
         2 (one child and the restart) when some clause head unifies and no
-        child can be the start state; a child has the start's single
+        child can be the start state.  A child has the start's single
         subgoal only if a body-less clause leaves a lone remaining
-        subgoal, so that subgoal differing from the start's settles it.
+        subgoal, so it cannot when every unifying clause has a body or
+        that subgoal differs from the start's.
         """
-        if len(node.subgoals) < 2:
+        query, subgoals = node
+        if len(subgoals) < 2:
             return None
-        goal, rest = node.subgoals[0], node.subgoals[1:]
-        if goal.pred in self.store:
-            elsewhere = set(variables_of((*node.query, *rest)))
-            if all(v in elsewhere for v in variables_of((goal,))):
+        goal, rest = subgoals[0], subgoals[1:]
+        if goal[0] in self.store.tuples:
+            elsewhere = {a for atom in (*query, *rest) for a in atom if a < 0}
+            if all(a >= 0 or a in elsewhere for a in goal):
                 return self.store.binding_count(goal)
             return None
-        if len(rest) == 1 and not _differs(rest[0], start.subgoals[0]):
+        bodies = [body for _, head, body, _ in
+                  self._clauses_apart(goal[0], _num_vars(node))
+                  if _unify(goal, head) is not None]
+        if not bodies:
             return None
-        if any(unify(goal, head) is not None
-               for head in self._apart_heads.get(goal.pred, ())):
-            return 2
-        return None
+        if (len(rest) == 1 and not _differs(rest[0], start.subgoals[0])
+                and not all(bodies)):
+            return None
+        return 2
 
 
-def _differs(atom: Atom, start: Atom) -> bool:
+def _differs(atom: IntAtom, start: IntAtom) -> bool:
     """Whether no substitution of ``atom``'s variables can give ``start``
     (up to renaming): another predicate, or a constant where ``start`` has
     a variable or another constant."""
-    return (atom.pred != start.pred or atom.arity != start.arity
-            or any(isinstance(a, Const) and a != b
-                   for a, b in zip(atom.args, start.args)))
+    return (len(atom) != len(start) or atom[0] != start[0]
+            or any(a >= 0 and a != b for a, b in zip(atom[1:], start[1:])))
 
 
 def transition_distribution(successors, restart_phi, w: ParameterVector,

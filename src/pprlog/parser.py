@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .terms import Atom, Const, Term, Var, rename_atoms, variables_of
+from .terms import Atom, Const, Term, Var
 
 
 class ParseError(Exception):
@@ -50,35 +50,14 @@ class Clause:
         return s + "."
 
 
-def standardize_apart(clause: Clause, fresh_base: int) -> Clause:
-    """Rename every variable in the clause to a fresh id >= fresh_base."""
-    all_atoms = [clause.head, *clause.body, *clause.features]
-    mapping = {v: Var(fresh_base + i, v.name)
-               for i, v in enumerate(variables_of(all_atoms))}
-    renamed = rename_atoms(all_atoms, mapping)
-    nb = len(clause.body)
-    return Clause(renamed[0], tuple(renamed[1:1 + nb]),
-                  tuple(renamed[1 + nb:]), clause.id)
-
-
 @dataclass
 class Program:
     clauses: list[Clause] = field(default_factory=list)
     by_pred: dict[str, list[Clause]] = field(default_factory=dict)
     arities: dict[str, int] = field(default_factory=dict)
 
-    def rule_predicates(self) -> set[str]:
-        return set(self.by_pred)
-
     def clauses_for(self, pred: str) -> list[Clause]:
         return self.by_pred.get(pred, [])
-
-    def max_var_id(self) -> int:
-        top = 0
-        for c in self.clauses:
-            for v in variables_of([c.head, *c.body, *c.features]):
-                top = max(top, v.id + 1)
-        return top
 
     def check_against_facts(self, fact_predicates: dict[str, int]):
         """Reject predicates defined both by rules and by facts, and

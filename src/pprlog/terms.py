@@ -2,6 +2,11 @@
 
 The term language is a flat datalog subset: constants and variables only,
 no function symbols.  Unification is therefore linear in atom arity.
+
+``Atom``/``Const``/``Var`` are the parse and print form.  The prover and
+the fact store work on int-coded atoms ``(pred_id, arg, ...)``: predicate
+and constant names are interned in one process-wide symbol table to ids
+>= 0, and variables are negative ints.
 """
 
 from __future__ import annotations
@@ -117,3 +122,37 @@ def canonicalize(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     atoms = list(atoms)
     mapping = {v: Var(i) for i, v in enumerate(variables_of(atoms))}
     return tuple(rename_atoms(atoms, mapping))
+
+
+class _SymbolTable(dict):
+    """name -> id; a name looked up for the first time gets the next id.
+
+    Not locked: names are interned only by parsing, loading and
+    grounding, which no caller runs on several threads at once.
+    """
+
+    def __missing__(self, name: str) -> int:
+        self[name] = len(SYMBOLS)
+        SYMBOLS.append(name)
+        return self[name]
+
+
+SYMBOLS: list[str] = []         # id -> name
+intern = _SymbolTable().__getitem__
+
+IntAtom = tuple[int, ...]
+
+
+def encode(atom: Atom) -> IntAtom:
+    """The int-coded atom; ``Var(i)`` becomes ``-1 - i``."""
+    return (intern(atom.pred), *[intern(t.name) if isinstance(t, Const)
+                                 else -1 - t.id for t in atom.args])
+
+
+def decode(atom: IntAtom, var_names: dict[int, str] = {}) -> Atom:
+    """The Atom of an int-coded atom; variable ``-1 - i`` becomes
+    ``Var(i)``, named from ``var_names`` when it has the variable."""
+    return Atom(SYMBOLS[atom[0]],
+                tuple(Const(SYMBOLS[a]) if a >= 0
+                      else Var(-1 - a, var_names.get(a, ""))
+                      for a in atom[1:]))

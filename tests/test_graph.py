@@ -6,7 +6,7 @@ import pytest
 from conftest import oracle_transition_matrix, random_grounded_graph
 from pprlog.graph import (GroundedGraph, NumericGraph, RESTART_FEATURE,
                           deserialize, serialize)
-from pprlog.weights import EXP, LINEAR, ParameterVector
+from pprlog.weights import EXP, LINEAR, ParameterVector, WeightFn, edge_weight
 
 
 def sample_graph():
@@ -103,3 +103,23 @@ def test_dangling_node_gets_implicit_restart():
     assert mask.sum() == 1
     assert prob[mask][0] == pytest.approx(1.0)
     assert ng.dst[mask][0] == 0
+
+
+def test_raw_weights_agree_with_edge_weight_or_raise():
+    # The numeric view must weight edges as the push loop's edge_weight
+    # does, and refuse a weighting function it has no array form for.
+    g = GroundedGraph()
+    g.add_node()
+    g.add_node()
+    g.add_edge(0, 1, {"f": 1.0})
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    ng = NumericGraph(g)
+    w = ParameterVector({"f": 3.0})
+    for fn in (LINEAR, EXP):
+        _, raw = ng.raw_weights(w, fn)
+        assert raw[(ng.src == 0) & (ng.dst == 1)][0] == pytest.approx(
+            edge_weight(fn, w, {"f": 1.0}))
+    square = WeightFn("square", lambda dot: dot * dot)
+    assert edge_weight(square, w, {"f": 1.0}) == 9.0
+    with pytest.raises(ValueError, match="square"):
+        ng.raw_weights(w, square)

@@ -189,6 +189,10 @@ def test_ground_full_unknown_predicate(hyperlink_program, hyperlink_store):
     ("p(a)", "t(b),p(b)", 2),
     ("p(a)", "t(a),p(a),r(a)", 2),
     ("p(a)", "t(a),s(a)", 2),
+    # ... only through a body-less clause: every clause for r has a body
+    ("p(a)", "r(a),p(X)", 2),
+    ("p(a)", "r(a),p(a)", 2),
+    ("p(a)", "u(X),p(a)", None),
     # no clause head unifies
     ("p(a)", "u(a),p(b)", None),
 ])

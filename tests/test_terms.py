@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from pprlog.parser import parse_atom, parse_program, standardize_apart
+from pprlog.parser import parse_program
 from pprlog.terms import Atom, Const, Var, apply, canonicalize, unify
 
 a, b = Const("a"), Const("b")
@@ -39,23 +39,6 @@ def test_apply_examples():
     assert apply({}, g) == g
     out = apply({X: a, Z: b}, [Atom("sim", (X, Y)), Atom("about", (Y, Z))])
     assert out == [Atom("sim", (a, Y)), Atom("about", (Y, b))]
-
-
-def test_standardize_apart():
-    prog = parse_program("p(X) :- q(X).")
-    c = standardize_apart(prog.clauses[0], 100)
-    assert c.head.args[0].id >= 100
-    assert c.head.args[0] == c.body[0].args[0]
-
-    ground = parse_program("p(a) :- q(b).")
-    cg = standardize_apart(ground.clauses[0], 100)
-    assert cg.head == ground.clauses[0].head
-
-    c1 = standardize_apart(prog.clauses[0], 100)
-    c2 = standardize_apart(prog.clauses[0], 200)
-    vars1 = {c1.head.args[0]}
-    vars2 = {c2.head.args[0]}
-    assert not vars1 & vars2
 
 
 terms = st.sampled_from([a, b, Const("c"), X, Y, Z])
