@@ -11,11 +11,11 @@ from .graph import GroundedGraph, NumericGraph, deserialize, serialize
 from .grounder import (GroundingParams, Prover, approximate_ground,
                        ground_full, pagerank_nibble, start_node)
 from .inference import (AnswerList, auc, average_precision, extract_answers,
-                        power_iterate, rank_metrics)
+                        power_iterate)
 from .learner import (SgdConfig, TrainingExample, example_gradient,
-                      pair_loss, ppr_gradient, train, train_parallel)
+                      pair_loss, ppr_gradient, train)
 from .parser import Clause, Program, parse_atom, parse_program
-from .terms import Atom, Const, Var, apply, unify
+from .terms import Atom, Const, Var
 from .weights import (EXP, LINEAR, WEIGHT_FNS, ParameterVector, load_params,
                       save_params)
 

@@ -33,8 +33,8 @@ from .weights import (WEIGHT_FNS, ParameterVector, load_params, save_params)
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--rules", help="rules file")
-    p.add_argument("--facts", help="TSV facts file")
+    p.add_argument("--rules", required=True, help="rules file")
+    p.add_argument("--facts", required=True, help="TSV facts file")
     p.add_argument("--params-in", help="load learned weights (TSV)")
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--alpha-prime", type=float, default=0.1)
@@ -136,7 +136,7 @@ def cmd_train(args) -> int:
     program, store, params, w, fn = _setup(args)
     examples = _read_examples(args.train)
     cfg = SgdConfig(mu=args.mu, eta=args.eta, epochs=args.epochs,
-                    threads=args.threads, loss=args.loss)
+                    loss=args.loss)
     if args.groundings:
         graphs = deserialize(Path(args.groundings).read_text())
         if len(graphs) != len(examples):
@@ -237,8 +237,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error<TAB>message`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error\t{self.prog}: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pprlog", description=__doc__)
+    ap = _Parser(prog="pprlog", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("answer", help="rank answers for queries")
@@ -261,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.001)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--loss", choices=["squared", "log"], default="squared")
     p.set_defaults(func=cmd_train)
 

@@ -259,29 +259,32 @@ class Prover:
         None for solution nodes and for a lone subgoal, the only goals
         that can yield a solution child.  A database goal whose variables
         all occur in the query or the remaining subgoals gets its binding
-        count: each match then yields a distinct child.  A rule goal gets
-        2 (one child and the restart) when some clause head unifies and no
-        child can be the start state.  A child has the start's single
-        subgoal only if a body-less clause leaves a lone remaining
-        subgoal, so it cannot when every unifying clause has a body or
-        that subgoal differs from the start's.
+        count: each match then yields a distinct child.  The restart is
+        one more target when no child can be the start state, which holds
+        when two or more subgoals remain or the lone one differs from the
+        start's.  A rule goal gets 2 (one child and the restart) when
+        some clause head unifies and no child can be the start state.  A
+        child has the start's single subgoal only if a body-less clause
+        leaves a lone remaining subgoal, so it cannot when every unifying
+        clause has a body or that subgoal differs from the start's.
         """
         query, subgoals = node
         if len(subgoals) < 2:
             return None
         goal, rest = subgoals[0], subgoals[1:]
+        # a child can have the start's subgoals only through a lone rest
+        lone_like_start = (len(rest) == 1
+                           and not _differs(rest[0], start.subgoals[0]))
         if goal[0] in self.store.tuples:
             elsewhere = {a for atom in (*query, *rest) for a in atom if a < 0}
-            if all(a >= 0 or a in elsewhere for a in goal):
-                return self.store.binding_count(goal)
-            return None
+            if not all(a >= 0 or a in elsewhere for a in goal):
+                return None
+            count = self.store.binding_count(goal)
+            return count if lone_like_start else count + 1
         bodies = [body for _, head, body, _ in
                   self._clauses_apart(goal[0], _num_vars(node))
                   if _unify(goal, head) is not None]
-        if not bodies:
-            return None
-        if (len(rest) == 1 and not _differs(rest[0], start.subgoals[0])
-                and not all(bodies)):
+        if not bodies or (lone_like_start and not all(bodies)):
             return None
         return 2
 
@@ -323,9 +326,6 @@ class PushStats:
     degree_sum: int = 0        # sum of |N(u)| over pushes
     nodes_discovered: int = 0  # nodes given an id (graph.num_nodes)
     residual_mass: float = 1.0
-
-    def work_bound(self, alpha_prime: float, epsilon: float) -> float:
-        return 1.0 / (alpha_prime * epsilon)
 
 
 # An expander maps a node to its outgoing distribution:

@@ -41,9 +41,6 @@ class AnswerList:
     def __len__(self):
         return len(self.items)
 
-    def scores(self) -> dict[str, float]:
-        return dict(self.items)
-
 
 def extract_answers(g: GroundedGraph, v) -> AnswerList:
     """Collect solution-node mass and renormalize into answer scores."""
@@ -95,9 +92,3 @@ def auc(scores: dict[str, float], relevant: set[str],
                 wins += 0.5
     return wins / (len(pos) * len(neg))
 
-
-def rank_metrics(predicted: AnswerList, relevant: set[str]):
-    """(MAP, AUC) of a ranked answer list against a relevant set."""
-    ranked = [a for a, _ in predicted.items]
-    return (average_precision(ranked, relevant),
-            auc(predicted.scores(), relevant))

@@ -4,17 +4,17 @@ Training data are (query, positive answers, negative answers) triples.
 Each query is grounded once; the objective is a pairwise ranking loss on
 the walk mass of positive vs negative solution nodes, plus L2
 regularization, minimized by SGD with an epoch-decayed learning rate
-(eta / epoch^2).  Gradients come from exactly differentiating the
-unrolled power iteration on the fixed grounded graph, in reverse mode
-over a numeric view built once per grounding.
+(eta / epoch^2).  SGD takes one example at a time in a seeded shuffle,
+so a seed fixes the learned weights bit for bit.  Gradients come from
+exactly differentiating the unrolled power iteration on the fixed
+grounded graph, in reverse mode over a numeric view built once per
+grounding.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,13 +51,12 @@ class SgdConfig:
     mu: float = 0.001
     eta: float = 1.0
     epochs: int = 5
-    threads: int = 1
     loss: str = "squared"        # "squared" hinge on the margin, or "log"
     ppr_T: int = 10              # forward iterations during learning
     fixed_features: frozenset = BUILTIN_FEATURES
 
     def __post_init__(self):
-        if self.mu < 0 or self.eta <= 0 or self.epochs < 0 or self.threads < 1:
+        if self.mu < 0 or self.eta <= 0 or self.epochs < 0:
             raise ValueError(f"invalid SGD configuration: {self}")
         if self.loss not in ("squared", "log"):
             raise ValueError(f"unknown loss {self.loss!r}")
@@ -289,9 +288,8 @@ def _check_divergence(w: ParameterVector):
 def train_on_groundings(groundings, cfg: SgdConfig, seed: int = 0,
                         alpha_prime: float = 0.1,
                         fn: WeightFn = None) -> TrainResult:
-    """SGD over pre-grounded examples; threads > 1 runs workers that share
-    the parameter vector without step-level locking (lost updates are
-    tolerated), so only threads == 1 is bitwise reproducible."""
+    """SGD over pre-grounded examples; unusable ones are skipped and
+    counted."""
     from .weights import LINEAR
     fn = fn or LINEAR
     usable = [lg for lg in groundings if lg.usable]
@@ -299,33 +297,17 @@ def train_on_groundings(groundings, cfg: SgdConfig, seed: int = 0,
                          skipped_examples=len(groundings) - len(usable))
     w = result.weights
     rng = random.Random(seed + 1)
-    lock = threading.Lock()
-
-    def step(lg, rate):
-        grad, loss, stats = example_gradient(lg, w, fn, cfg, alpha_prime)
-        for name, gval in grad.items():
-            w[name] = w[name] - rate * gval
-        return loss, stats
-
     for epoch in range(1, cfg.epochs + 1):
         order = list(usable)
         rng.shuffle(order)
         rate = cfg.eta / (epoch * epoch)
         epoch_loss = 0.0
-        if cfg.threads == 1:
-            for lg in order:
-                loss, stats = step(lg, rate)
-                epoch_loss += loss
-                result.pair_stats.merge(stats)
-        else:
-            def worker(lg):
-                loss, stats = step(lg, rate)
-                with lock:
-                    nonlocal epoch_loss
-                    epoch_loss += loss
-                    result.pair_stats.merge(stats)
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                list(pool.map(worker, order))
+        for lg in order:
+            grad, loss, stats = example_gradient(lg, w, fn, cfg, alpha_prime)
+            for name, gval in grad.items():
+                w[name] = w[name] - rate * gval
+            epoch_loss += loss
+            result.pair_stats.merge(stats)
         _check_divergence(w)
         result.epoch_losses.append(epoch_loss)
     return result
@@ -333,19 +315,7 @@ def train_on_groundings(groundings, cfg: SgdConfig, seed: int = 0,
 
 def train(data, program, store, params: GroundingParams, cfg: SgdConfig,
           seed: int = 0, fn: WeightFn = None) -> TrainResult:
-    """Ground, label, and fit weights single-threaded (reproducible)."""
-    from .weights import LINEAR
-    fn = fn or LINEAR
-    groundings = ground_examples(data, program, store, params,
-                                 ParameterVector(), fn)
-    return train_on_groundings(groundings, replace(cfg, threads=1), seed,
-                               params.alpha_prime, fn)
-
-
-def train_parallel(data, program, store, params: GroundingParams,
-                   cfg: SgdConfig, seed: int = 0,
-                   fn: WeightFn = None) -> TrainResult:
-    """Like train, with cfg.threads workers sharing the parameter vector."""
+    """Ground and label every example, then fit weights by SGD."""
     from .weights import LINEAR
     fn = fn or LINEAR
     groundings = ground_examples(data, program, store, params,

@@ -154,3 +154,24 @@ def test_train_rejects_unlabelable_examples(workspace, capsys):
     assert code == 2
     assert "usable" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("args", [
+    ["train", "--rules", "r.pl", "--facts", "f.tsv", "--train", "t.tsv",
+     "--threads", "2"],
+    ["answer", "--queries", "q.txt"],
+], ids=["unknown-flag", "missing-rules"])
+def test_usage_error_is_one_error_line(args, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(args)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error\t")
+    assert err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(["train", "--help"])
+    assert exit_.value.code == 0
+    assert "--rules" in capsys.readouterr().out

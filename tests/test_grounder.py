@@ -175,8 +175,11 @@ def test_ground_full_unknown_predicate(hyperlink_program, hyperlink_store):
 
 
 @pytest.mark.parametrize("query,subgoals,bound", [
-    # database goal: one distinct child per match when its variables recur
-    ("p(X)", "q(X,Y),r(Y)", 3),
+    # database goal: one distinct child per match when its variables recur,
+    # plus the restart when no child can be the start state
+    ("p(X)", "q(X,Y),r(Y)", 4),
+    # ... a lone p(Y) could rebuild the start, so no restart is counted
+    ("p(X)", "q(X,Y),p(Y)", 3),
     # ... but Y occurs only in the goal, so the three matches merge
     ("p(a)", "q(a,Y),r(a)", None),
     # a lone subgoal may yield solution children

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import oracle_exact_ppr, random_grounded_graph
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
-from pprlog.inference import (AnswerList, auc, average_precision,
-                              extract_answers, power_iterate, rank_metrics)
+from pprlog.inference import (auc, average_precision, extract_answers,
+                              power_iterate)
 from pprlog.weights import LINEAR, ParameterVector
 
 
@@ -96,24 +96,20 @@ def test_extract_single_solution_probability_one():
     assert answers.items == [("q(a)", pytest.approx(1.0))]
 
 
-def test_rank_metrics_perfect_and_inverted():
-    perfect = AnswerList([("p1", 0.4), ("p2", 0.3), ("n1", 0.2),
-                          ("n2", 0.1)], 1.0)
-    m, a = rank_metrics(perfect, {"p1", "p2"})
-    assert (m, a) == (1.0, 1.0)
-    inverted = AnswerList([("n1", 0.4), ("n2", 0.3), ("p1", 0.2),
-                           ("p2", 0.1)], 1.0)
-    _, a = rank_metrics(inverted, {"p1", "p2"})
-    assert a == 0.0
+RANKINGS = {
+    # ranked items, best first, scored 0.4, 0.3, 0.2, 0.1; (AP, AUC)
+    "perfect": (["p1", "p2", "n1", "n2"], 1.0, 1.0),
+    "inverted": (["n1", "n2", "p1", "p2"], (1 / 3 + 2 / 4) / 2, 0.0),
+    # [+,-,+,-]: AP = (1/1 + 2/3)/2, AUC = 3 wins of 4 pairs
+    "interleaved": (["p1", "n1", "p2", "n2"], (1.0 + 2.0 / 3.0) / 2, 0.75),
+}
 
 
-def test_rank_metrics_interleaved():
-    # ranking [+,-,+,-]: MAP = (1/1 + 2/3)/2, AUC = 3 wins of 4 pairs
-    ranked = AnswerList([("p1", 0.4), ("n1", 0.3), ("p2", 0.2),
-                         ("n2", 0.1)], 1.0)
-    m, a = rank_metrics(ranked, {"p1", "p2"})
-    assert m == pytest.approx((1.0 + 2.0 / 3.0) / 2)
-    assert a == pytest.approx(0.75)
+@pytest.mark.parametrize("ranked,ap,area", RANKINGS.values(), ids=RANKINGS)
+def test_average_precision_and_auc_of_rankings(ranked, ap, area):
+    assert average_precision(ranked, {"p1", "p2"}) == pytest.approx(ap)
+    scores = dict(zip(ranked, (0.4, 0.3, 0.2, 0.1)))
+    assert auc(scores, {"p1", "p2"}) == pytest.approx(area)
 
 
 def test_auc_ties_average():

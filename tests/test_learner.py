@@ -10,7 +10,7 @@ from pprlog.inference import auc, power_iterate
 from pprlog.learner import (LabeledGrounding, SgdConfig, TrainingDiverged,
                             TrainingExample, example_gradient,
                             ground_examples, label_grounding, pair_loss,
-                            ppr_gradient, train, train_parallel)
+                            ppr_gradient, train)
 from pprlog.parser import parse_atom, parse_program
 from pprlog.synth import citation_corpus, CITATION_RULES
 from pprlog.weights import EXP, LINEAR, ParameterVector
@@ -275,28 +275,6 @@ def test_training_improves_auc_and_is_deterministic():
     after = training_auc(groundings, r1.weights)
     assert after >= before
     assert after > 0.9
-
-
-def test_parallel_matches_serial_within_tolerance():
-    prog, store, examples = toy_classifier_task(num_docs=12)
-    params = GroundingParams(epsilon=1e-3)
-    serial = train(examples, prog, store, params,
-                   SgdConfig(epochs=3, threads=1), seed=7)
-    parallel = train_parallel(examples, prog, store, params,
-                              SgdConfig(epochs=3, threads=4), seed=7)
-    groundings = ground_examples(examples, prog, store, params,
-                                 ParameterVector(), LINEAR)
-    auc_serial = training_auc(groundings, serial.weights)
-    auc_parallel = training_auc(groundings, parallel.weights)
-    assert abs(auc_serial - auc_parallel) <= 0.02
-
-
-def test_threads_one_parallel_is_bitwise_serial():
-    prog, store, examples = toy_classifier_task()
-    params = GroundingParams(epsilon=1e-3)
-    cfg = SgdConfig(epochs=2, threads=1)
-    assert train(examples, prog, store, params, cfg, seed=3).weights == \
-        train_parallel(examples, prog, store, params, cfg, seed=3).weights
 
 
 def test_divergence_detected():

@@ -1,7 +1,7 @@
 """The int-coded prover against an Atom-level reference expander.
 
 The reference expands (query atoms, subgoal atoms) states with
-``terms.unify``/``apply``/``canonicalize``, renaming each clause apart
+``atom_unify.unify``/``apply``/``canonicalize``, renaming each clause apart
 with fresh variable ids and matching database goals by unifying with
 every row of the relation.  Standing in for the prover's expander inside
 ``ground_full`` and ``approximate_ground``, it must give the same graphs
@@ -14,6 +14,7 @@ from functools import partial
 
 import pytest
 
+from atom_unify import apply, canonicalize, rename_atoms, unify
 from test_push import CASE_IDS, GROUNDING_CASES
 from pprlog import grounder
 from pprlog.facts import load_facts
@@ -22,8 +23,7 @@ from pprlog.graph import (DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE,
 from pprlog.grounder import (GroundingParams, Prover, approximate_ground,
                              ground_full, make_node, transition_distribution)
 from pprlog.parser import parse_atom, parse_program
-from pprlog.terms import (SYMBOLS, Atom, Var, apply, canonicalize, decode,
-                          rename_atoms, unify, variables_of)
+from pprlog.terms import SYMBOLS, Atom, Var, decode, variables_of
 from pprlog.weights import LINEAR, ParameterVector
 
 

@@ -117,12 +117,10 @@ def test_train_keeps_custom_fixed_features():
     fixed = BUILTIN_FEATURES | {"c1"}
     base = train(examples, prog, store, params, SgdConfig(epochs=2), seed=1)
     pinned = train(examples, prog, store, params,
-                   SgdConfig(epochs=2, threads=3, fixed_features=fixed),
-                   seed=1)
+                   SgdConfig(epochs=2, fixed_features=fixed), seed=1)
     init = 1.0 + random.Random("1:c1").uniform(0.0, 0.01)
     assert pinned.weights["c1"] == init
     assert base.weights["c1"] != init
-    # train runs single-threaded whatever cfg.threads says
     assert pinned.weights == train(
         examples, prog, store, params,
-        SgdConfig(epochs=2, threads=1, fixed_features=fixed), seed=1).weights
+        SgdConfig(epochs=2, fixed_features=fixed), seed=1).weights

@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from atom_unify import apply, canonicalize, unify
 from pprlog.parser import parse_program
-from pprlog.terms import Atom, Const, Var, apply, canonicalize, unify
+from pprlog.terms import Atom, Const, Var
 
 a, b = Const("a"), Const("b")
 X, Y, Z, Z2 = Var(0, "X"), Var(1, "Y"), Var(2, "Z"), Var(3, "Z2")
