@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .terms import SYMBOLS, Atom, Const, IntAtom, Var, encode, intern
+from .terms import SYMBOLS, IntAtom, intern
 
 
 class FactError(Exception):
@@ -23,8 +23,7 @@ class FactStore:
     """Ground tuples as int-coded rows (symbol ids from ``terms.intern``).
 
     Lookups take an int-coded goal ``(pred_id, arg, ...)`` whose negative
-    args are variables.  ``match`` and ``binding_count`` also take an
-    ``Atom``, for callers outside the prover.
+    args are variables (``terms.encode`` gives one from an ``Atom``).
     """
     tuples: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
     arities: dict[int, int] = field(default_factory=dict)
@@ -84,18 +83,8 @@ class FactStore:
         exact = bound <= 1 and len({a for a in goal if a < 0}) == free
         return self.tuples[pid], best, exact
 
-    def match(self, goal):
-        """The rows matching an int-coded goal, in insertion order.
-
-        For an ``Atom`` query, one substitution per matching row instead.
-        """
-        if isinstance(goal, Atom):
-            variables = {-1 - t.id: t for t in goal.args
-                         if isinstance(t, Var)}
-            goal = encode(goal)
-            return [{variables[a]: Const(SYMBOLS[val])
-                     for a, val in zip(goal[1:], row) if a < 0}
-                    for row in self.match(goal)]
+    def match(self, goal: IntAtom) -> list[tuple[int, ...]]:
+        """The rows matching an int-coded goal, in insertion order."""
         rows, best, exact = self._postings(goal)
         if best is not None:
             rows = map(rows.__getitem__, best)
@@ -103,15 +92,13 @@ class FactStore:
             return list(rows)
         return [row for row in rows if _fits(goal, row)]
 
-    def binding_count(self, goal) -> int:
-        """Number of rows matching the goal (int-coded or an ``Atom``).
+    def binding_count(self, goal: IntAtom) -> int:
+        """Number of rows matching an int-coded goal.
 
         Equal to ``len(self.match(goal))`` but builds no rows: when every
         selected row matches, the answer is a posting-list length (or the
         row count); otherwise the shortest posting list is scanned.
         """
-        if isinstance(goal, Atom):
-            goal = encode(goal)
         rows, best, exact = self._postings(goal)
         if exact:
             return len(rows if best is None else best)

@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import (EXP, LINEAR, LINEAR_FLOOR, FeatureVector,
-                      ParameterVector, WeightFn)
+from .weights import FeatureVector, ParameterVector, WeightFn
 
 RESTART_FEATURE = "defRestart"
 DB_FEATURE = "db"
 SELF_LOOP_FEATURE = "id(selfLoop)"
+# Edge features the grounder adds itself (restart mass, db fan-out,
+# solution self-loops); clauses may not name them.
+BUILTIN_FEATURES = frozenset((DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE))
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,6 @@ class GroundedGraph:
     def add_edge(self, src: int, dst: int, phi: FeatureVector,
                  is_restart: bool = False):
         self.edges.append(Edge(src, dst, dict(phi), is_restart))
-
-    def feature_names(self) -> list[str]:
-        names: dict[str, None] = {}
-        for e in self.edges:
-            for name in e.phi:
-                names.setdefault(name)
-        return list(names)
 
 
 class NumericGraph:
@@ -121,14 +116,7 @@ class NumericGraph:
                           weights=self.weight_array(w)[self.ef_feat]
                           * self.ef_val,
                           minlength=self.num_edges)
-        if fn == LINEAR:
-            raw = np.maximum(dot, LINEAR_FLOOR)
-        elif fn == EXP:
-            raw = np.exp(dot)
-        else:
-            raise ValueError(f"weight function {fn.name!r} has no array "
-                             f"form; use linear or exp")
-        raw = np.where(self.implicit_mask, 1.0, raw)
+        raw = np.where(self.implicit_mask, 1.0, fn.array(dot))
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
             bad = int(np.argmin(np.where(np.isfinite(raw), raw, -np.inf)))
             raise ValueError(f"nonpositive or non-finite weight on edge "
@@ -181,8 +169,14 @@ def serialize(g: GroundedGraph) -> str:
 
     Format: header ``query<TAB>start<TAB>num_nodes<TAB>num_edges``, then
     ``sol`` lines (with an optional +/- label column when labels are
-    known), then ``edge`` lines sorted by (src, dst).
+    known), then ``edge`` lines sorted by (src, dst).  Raises ValueError
+    for a feature name that would read back as another name.
     """
+    for name in dict.fromkeys(name for e in g.edges for name in e.phi):
+        if ("\t" in name or "\n" in name
+                or _split_features(name + "=0,x") != [name + "=0", "x"]):
+            raise ValueError(f"feature {name!r} of {g.query!r} cannot be "
+                             f"written to a grounded-graph record")
     lines = [f"{g.query}\t{g.start}\t{g.num_nodes}\t{g.num_edges}"]
     for nid in sorted(g.solutions):
         row = f"sol\t{nid}\t{g.solutions[nid]}"
@@ -203,13 +197,21 @@ def deserialize(text: str) -> list[GroundedGraph]:
             continue
         lines = block.strip("\n").split("\n")
         query, start, num_nodes, num_edges = lines[0].split("\t")
-        g = GroundedGraph(query=query, start=int(start))
-        g.nodes = [None] * int(num_nodes)
+        n = int(num_nodes)
+
+        def node_id(text: str) -> int:
+            nid = int(text)
+            if not 0 <= nid < n:
+                raise ValueError(f"record for {query!r} has node id {nid} "
+                                 f"outside [0, {n})")
+            return nid
+
+        g = GroundedGraph([None] * n, query=query, start=node_id(start))
         for line in lines[1:]:
             kind, rest = line.split("\t", 1)
             if kind == "sol":
                 parts = rest.split("\t")
-                nid = int(parts[0])
+                nid = node_id(parts[0])
                 g.solutions[nid] = parts[1]
                 if len(parts) > 2:
                     g.labels[nid] = parts[2] == "+"
@@ -221,8 +223,11 @@ def deserialize(text: str) -> list[GroundedGraph]:
                         continue
                     name, _, val = item.rpartition("=")
                     phi[name] = float(val)
-                g.add_edge(int(s), int(d), phi,
+                g.add_edge(node_id(s), node_id(d), phi,
                            is_restart=RESTART_FEATURE in phi)
+            else:
+                raise ValueError(f"record for {query!r} has a line of "
+                                 f"unknown kind {kind!r}")
         if g.num_edges != int(num_edges):
             raise ValueError(f"record for {query!r} declares {num_edges} "
                              f"edges but has {g.num_edges}")

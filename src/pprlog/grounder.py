@@ -10,12 +10,12 @@ reachable proof space up to a step horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
 from .facts import FactStore
-from .graph import (DB_FEATURE, GroundedGraph, RESTART_FEATURE,
-                    SELF_LOOP_FEATURE)
+from .graph import (BUILTIN_FEATURES, DB_FEATURE, GroundedGraph,
+                    RESTART_FEATURE, SELF_LOOP_FEATURE)
 from .parser import Clause, Program
 from .terms import Atom, IntAtom, decode, encode, intern, variables_of
 from .weights import FeatureVector, ParameterVector, WeightFn, edge_weight
@@ -185,7 +185,12 @@ class Prover:
                     f"non-ground feature {decode(feat, names)!r} when "
                     f"applying clause {clause.id} ({clause!r}) to "
                     f"{decode(goal)!r}")
-            name = self._feature_names[feat] = repr(decode(feat))
+            name = repr(decode(feat))
+            if name in BUILTIN_FEATURES:
+                raise GroundingError(
+                    f"clause {clause.id} ({clause!r}) gives the feature "
+                    f"{name!r}, a name reserved for built-in edges")
+            self._feature_names[feat] = name
         return name
 
     def expand(self, node: ProofNode) -> list[tuple[ProofNode, FeatureVector]]:
@@ -309,11 +314,8 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
     """
     raws = [edge_weight(fn, w, phi) for _, phi in successors]
     s = sum(raws)
-    r0 = edge_weight(fn, w, restart_phi) if restart_phi else 0.0
-    floor = alpha_prime * s / (1.0 - alpha_prime)
-    r0 = max(r0, floor)
-    if r0 <= 0.0 and s == 0.0:
-        return [(restart_target, 1.0, dict(restart_phi), True)]
+    r0 = max(edge_weight(fn, w, restart_phi),
+             alpha_prime * s / (1.0 - alpha_prime))
     z = s + r0
     out = [(t, g / z, phi, False) for (t, phi), g in zip(successors, raws)]
     out.append((restart_target, r0 / z, dict(restart_phi), True))

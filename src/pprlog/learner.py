@@ -19,12 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import GroundedGraph, NumericGraph
+from .graph import BUILTIN_FEATURES, GroundedGraph, NumericGraph
 from .grounder import GroundingParams, approximate_ground
 from .kernels import (grad_power_iterate_arrays, prob_adjoint, row_bincount,
                       walk_history)
 from .terms import Atom
-from .weights import LINEAR_FLOOR, ParameterVector, WeightFn
+from .weights import LINEAR, ParameterVector, WeightFn
 
 _LOG_CLIP = 1e-12
 
@@ -40,12 +40,6 @@ class TrainingExample:
     negatives: tuple[str, ...]
 
 
-# Built-in edge features are part of the walk's calibration (restart
-# mass, db fan-out, solution self-loops); training leaves them at their
-# unit defaults and learns only clause and user features.
-BUILTIN_FEATURES = frozenset(("db", "defRestart", "id(selfLoop)"))
-
-
 @dataclass
 class SgdConfig:
     mu: float = 0.001
@@ -53,6 +47,7 @@ class SgdConfig:
     epochs: int = 5
     loss: str = "squared"        # "squared" hinge on the margin, or "log"
     ppr_T: int = 10              # forward iterations during learning
+    # built-in features calibrate the walk; they keep their unit weights
     fixed_features: frozenset = BUILTIN_FEATURES
 
     def __post_init__(self):
@@ -79,10 +74,7 @@ def _own_slopes(info: dict, fn: WeightFn) -> np.ndarray:
     restarts, whose effective weight tracks the floor a'S/(1-a') instead.
     (Implicit frontier restarts carry no features, so no slope reaches
     a weight from them.)"""
-    if fn.name == "linear":
-        slope = (info["dot"] > LINEAR_FLOOR).astype(np.float64)
-    else:
-        slope = info["raw"].copy()
+    slope = fn.slope(info["dot"], info["raw"])
     slope[info["clamped"]] = 0.0
     return slope
 
@@ -263,7 +255,7 @@ def init_weights(groundings, seed: int) -> ParameterVector:
     """
     w = ParameterVector()
     for lg in groundings:
-        for name in lg.graph.feature_names():
+        for name in lg.numeric.feat_names:
             if name not in w:
                 w[name] = 1.0 + random.Random(f"{seed}:{name}").uniform(
                     0.0, 0.01)
@@ -287,11 +279,9 @@ def _check_divergence(w: ParameterVector):
 
 def train_on_groundings(groundings, cfg: SgdConfig, seed: int = 0,
                         alpha_prime: float = 0.1,
-                        fn: WeightFn = None) -> TrainResult:
+                        fn: WeightFn = LINEAR) -> TrainResult:
     """SGD over pre-grounded examples; unusable ones are skipped and
     counted."""
-    from .weights import LINEAR
-    fn = fn or LINEAR
     usable = [lg for lg in groundings if lg.usable]
     result = TrainResult(init_weights(usable, seed),
                          skipped_examples=len(groundings) - len(usable))
@@ -314,10 +304,8 @@ def train_on_groundings(groundings, cfg: SgdConfig, seed: int = 0,
 
 
 def train(data, program, store, params: GroundingParams, cfg: SgdConfig,
-          seed: int = 0, fn: WeightFn = None) -> TrainResult:
+          seed: int = 0, fn: WeightFn = LINEAR) -> TrainResult:
     """Ground and label every example, then fit weights by SGD."""
-    from .weights import LINEAR
-    fn = fn or LINEAR
     groundings = ground_examples(data, program, store, params,
                                  ParameterVector(), fn)
     return train_on_groundings(groundings, cfg, seed, params.alpha_prime, fn)

@@ -56,9 +56,6 @@ class Program:
     by_pred: dict[str, list[Clause]] = field(default_factory=dict)
     arities: dict[str, int] = field(default_factory=dict)
 
-    def clauses_for(self, pred: str) -> list[Clause]:
-        return self.by_pred.get(pred, [])
-
     def check_against_facts(self, fact_predicates: dict[str, int]):
         """Reject predicates defined both by rules and by facts, and
         arity conflicts between the two."""

@@ -45,9 +45,6 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
-    def is_ground(self) -> bool:
-        return all(isinstance(a, Const) for a in self.args)
-
     def __repr__(self):
         if not self.args:
             return self.pred

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 LINEAR_FLOOR = 1e-9
 
 # Sparse feature vector: ground feature name -> value.
@@ -35,14 +37,19 @@ class ParameterVector(dict):
 class WeightFn:
     name: str
     value: Callable[[float], float]        # raw weight from the dot product
+    array: Callable[[np.ndarray], np.ndarray]     # ``value`` elementwise
+    # d raw/d dot from (dot, raw), as a new array the caller may modify
+    slope: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _linear_value(dot: float) -> float:
     return dot if dot > LINEAR_FLOOR else LINEAR_FLOOR
 
 
-LINEAR = WeightFn("linear", _linear_value)
-EXP = WeightFn("exp", math.exp)
+LINEAR = WeightFn("linear", _linear_value,
+                  lambda dot: np.maximum(dot, LINEAR_FLOOR),
+                  lambda dot, raw: (dot > LINEAR_FLOOR).astype(np.float64))
+EXP = WeightFn("exp", math.exp, np.exp, lambda dot, raw: raw.copy())
 
 WEIGHT_FNS = {"linear": LINEAR, "exp": EXP}
 

@@ -32,6 +32,7 @@ from conftest import (HYPERLINK_FACTS, TABLE_PROGRAM, graph_expander,
                       oracle_exact_ppr, oracle_transition_matrix,
                       random_grounded_graph)
 from pprlog.facts import load_facts
+from pprlog.graph import NumericGraph
 from pprlog.grounder import (GroundingParams, Prover, approximate_ground,
                              ground_full, pagerank_nibble, start_node,
                              transition_distribution)
@@ -39,7 +40,7 @@ from pprlog.inference import (average_precision, extract_answers,
                               power_iterate)
 from pprlog.learner import (SgdConfig, TrainingExample, example_gradient,
                             ground_examples, label_grounding, pair_loss,
-                            ppr_gradient, train_on_groundings)
+                            train_on_groundings)
 from pprlog.parser import parse_atom, parse_program
 from pprlog.synth import (CITATION_RULES, HYPERLINK_RULES, SyntheticDbSpec,
                           citation_corpus, hyperlink_db)
@@ -208,7 +209,7 @@ def test_05_gradient_correctness():
                     else:
                         total += -np.log(max(vv[up], 1e-12)) \
                             - np.log(max(1.0 - vv[un], 1e-12))
-            for name in g.feature_names():
+            for name in NumericGraph(g).feat_names:
                 total += cfg.mu * wx[name] ** 2
             return total
 

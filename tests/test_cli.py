@@ -155,6 +155,23 @@ def test_train_rejects_unlabelable_examples(workspace, capsys):
     assert "usable" in capsys.readouterr().err
 
 
+def test_ground_refuses_unwritable_feature_name(tmp_path, capsys):
+    # the fact constant a)b makes the feature by(a)b), which a record
+    # would read back merged with the next feature
+    (tmp_path / "rules.pl").write_text("p(X,Y) :- q(X,Z), s(Z,Y).\n"
+                                       "s(Z,Y) :- t(Z,Y) # by(Z), sim.")
+    (tmp_path / "facts.tsv").write_text("q\tc\ta)b\nt\ta)b\td\n")
+    (tmp_path / "train.tsv").write_text("p(c,Y)\t+p(c,d)\n")
+    out = tmp_path / "graphs.tsv"
+    code = run(["ground", "--rules", tmp_path / "rules.pl",
+                "--facts", tmp_path / "facts.tsv",
+                "--train", tmp_path / "train.tsv", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error\t") and err.count("\n") == 1
+    assert "'by(a)b)'" in err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("args", [
     ["train", "--rules", "r.pl", "--facts", "f.tsv", "--train", "t.tsv",

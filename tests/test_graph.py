@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import oracle_transition_matrix, random_grounded_graph
 from pprlog.graph import (GroundedGraph, NumericGraph, RESTART_FEATURE,
                           deserialize, serialize)
-from pprlog.weights import EXP, LINEAR, ParameterVector, WeightFn, edge_weight
+from pprlog.weights import EXP, LINEAR, ParameterVector, edge_weight
 
 
 def sample_graph():
@@ -105,9 +106,10 @@ def test_dangling_node_gets_implicit_restart():
     assert ng.dst[mask][0] == 0
 
 
-def test_raw_weights_agree_with_edge_weight_or_raise():
+def test_raw_weights_agree_with_edge_weight():
     # The numeric view must weight edges as the push loop's edge_weight
-    # does, and refuse a weighting function it has no array form for.
+    # does, and each weighting function's array form and slope must
+    # agree with its scalar value.
     g = GroundedGraph()
     g.add_node()
     g.add_node()
@@ -119,7 +121,39 @@ def test_raw_weights_agree_with_edge_weight_or_raise():
         _, raw = ng.raw_weights(w, fn)
         assert raw[(ng.src == 0) & (ng.dst == 1)][0] == pytest.approx(
             edge_weight(fn, w, {"f": 1.0}))
-    square = WeightFn("square", lambda dot: dot * dot)
-    assert edge_weight(square, w, {"f": 1.0}) == 9.0
-    with pytest.raises(ValueError, match="square"):
-        ng.raw_weights(w, square)
+        # away from the linear floor's kink at 1e-9
+        dots = np.array([-2.0, -0.5, 1e-3, 0.7, 3.0])
+        values = fn.array(dots)
+        assert list(values) == pytest.approx([fn.value(d) for d in dots],
+                                             rel=1e-15)
+        slope = fn.slope(dots, values)
+        assert not np.shares_memory(slope, values)
+        h = 1e-6
+        assert list(slope) == pytest.approx(
+            [(fn.value(d + h) - fn.value(d - h)) / (2 * h) for d in dots],
+            rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["by(a)b)", "by(a(b", "by(a\tb)",
+                                  "by(a\nb)"])
+def test_serialize_refuses_name_that_reads_back_differently(name):
+    # by(a)b) would read back merged with the next feature
+    g = sample_graph()
+    g.add_edge(1, 1, {name: 1.0, "sim": 1.0})
+    g.add_edge(2, 1, {name: 2.0})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        serialize(g)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("\nsol\t", "\nsolution\t"),
+    ("\nedge\t1\t2\t", "\nedge\t1\t3\t"),
+    ("\nedge\t2\t0\t", "\nedge\t-1\t0\t"),
+    ("\nsol\t2\t", "\nsol\t7\t"),
+    ("q(a,X)\t0\t", "q(a,X)\t3\t"),
+], ids=["line-kind", "edge-dst", "edge-src", "solution", "start"])
+def test_deserialize_rejects_malformed_record(old, new):
+    text = serialize(sample_graph())
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape("q(a,X)")):
+        deserialize(text.replace(old, new))

@@ -51,6 +51,23 @@ def test_ground_feature_instantiated_by_mgu():
     assert [phi for _, phi in succ] == [{"by(sprinter)": 1.0}]
 
 
+def test_clause_feature_may_not_be_builtin():
+    # a clause edge carrying defRestart would read back as a restart edge
+    prog = parse_program("p(X) :- q(X) # defRestart.\np(X) :- r(X) # f.")
+    prover = Prover(prog, load_facts("q\ta\nr\ta"))
+    with pytest.raises(GroundingError, match="c1 .*'defRestart'"):
+        prover.expand(start_node(parse_atom("p(a)")))
+
+
+def test_bound_feature_may_not_be_builtin():
+    prog = parse_program("p(W) :- q(W) # id(W).")
+    prover = Prover(prog, load_facts("q\tselfLoop\nq\ta"))
+    assert [phi for _, phi in prover.expand(start_node(parse_atom("p(a)")))
+            ] == [{"id(a)": 1.0}]
+    with pytest.raises(GroundingError, match=r"c1 .*'id\(selfLoop\)'"):
+        prover.expand(start_node(parse_atom("p(selfLoop)")))
+
+
 def test_restart_features_rule_goal(prover):
     node = start_node(parse_atom("about(b,Z)"))
     assert prover.restart_features(node, 0.2) == {RESTART_FEATURE: 1.0}

@@ -5,14 +5,14 @@ import pytest
 
 from conftest import random_grounded_graph
 from pprlog.facts import load_facts
+from pprlog.graph import NumericGraph
 from pprlog.grounder import GroundingParams
-from pprlog.inference import auc, power_iterate
+from pprlog.inference import power_iterate
 from pprlog.learner import (LabeledGrounding, SgdConfig, TrainingDiverged,
                             TrainingExample, example_gradient,
                             ground_examples, label_grounding, pair_loss,
                             ppr_gradient, train)
 from pprlog.parser import parse_atom, parse_program
-from pprlog.synth import citation_corpus, CITATION_RULES
 from pprlog.weights import EXP, LINEAR, ParameterVector
 
 ALPHA_PRIME = 0.1
@@ -117,7 +117,7 @@ def test_example_gradient_matches_finite_differences(fn, loss):
                         # same clip as the implementation
                         total += -np.log(max(v[up], 1e-12)) \
                             - np.log(max(1.0 - v[un], 1e-12))
-            for name in lg.graph.feature_names():
+            for name in NumericGraph(lg.graph).feat_names:
                 total += cfg.mu * wx[name] ** 2
             return total
 

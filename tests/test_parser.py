@@ -68,6 +68,6 @@ def test_parse_atom():
 
 def test_clauses_indexed_by_head_predicate():
     prog = parse_program("p(X) :- q(X).\np(X) :- r(X).\ns(X) :- q(X).")
-    assert len(prog.clauses_for("p")) == 2
-    assert len(prog.clauses_for("s")) == 1
-    assert prog.clauses_for("nosuch") == []
+    assert len(prog.by_pred.get("p")) == 2
+    assert len(prog.by_pred.get("s")) == 1
+    assert prog.by_pred.get("nosuch") is None

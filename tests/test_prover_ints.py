@@ -23,7 +23,7 @@ from pprlog.graph import (DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE,
 from pprlog.grounder import (GroundingParams, Prover, approximate_ground,
                              ground_full, make_node, transition_distribution)
 from pprlog.parser import parse_atom, parse_program
-from pprlog.terms import SYMBOLS, Atom, Var, decode, variables_of
+from pprlog.terms import SYMBOLS, Atom, Const, Var, decode, variables_of
 from pprlog.weights import LINEAR, ParameterVector
 
 
@@ -71,7 +71,7 @@ def ref_expand(program, facts, node: RefNode) -> list:
     else:
         fresh = 1 + max((v.id for v in variables_of(
             (*node.query, *node.subgoals))), default=-1)
-        for clause in program.clauses_for(goal.pred):
+        for clause in program.by_pred.get(goal.pred, []):
             atoms = [clause.head, *clause.body, *clause.features]
             head, *renamed = rename_atoms(atoms, {
                 v: Var(fresh + i) for i, v in enumerate(variables_of(atoms))})
@@ -82,7 +82,7 @@ def ref_expand(program, facts, node: RefNode) -> list:
             phi: dict = {}
             for feat in renamed[len(clause.body):]:
                 ground = apply(sigma, feat)
-                assert ground.is_ground()
+                assert all(isinstance(t, Const) for t in ground.args)
                 phi[repr(ground)] = phi.get(repr(ground), 0.0) + 1.0
             emit(ref_node(apply(sigma, node.query),
                           apply(sigma, (*body, *rest))), phi)

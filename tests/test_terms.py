@@ -1,6 +1,5 @@
 import itertools
 
-import pytest
 from hypothesis import given, strategies as st
 
 from atom_unify import apply, canonicalize, unify
