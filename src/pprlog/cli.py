@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .facts import load_facts
@@ -39,17 +40,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--alpha-prime", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--max-t", type=int, default=100)
     p.add_argument("--weightfn", choices=sorted(WEIGHT_FNS), default="linear")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output file (default stdout)")
 
 
 def _setup(args):
     program = parse_program(Path(args.rules).read_text())
     store = load_facts(Path(args.facts).read_text())
-    params = GroundingParams(args.alpha, args.alpha_prime, args.epsilon,
-                             args.max_t)
+    params = GroundingParams(args.alpha, args.alpha_prime, args.epsilon)
     w = (load_params(Path(args.params_in).read_text())
          if args.params_in else ParameterVector())
     fn = WEIGHT_FNS[args.weightfn]
@@ -85,6 +82,7 @@ def _read_examples(path: str):
 
 def cmd_answer(args) -> int:
     program, store, params, w, fn = _setup(args)
+    params = replace(params, max_T=args.max_t)
     queries = _read_queries(args.queries)
     out, t_ground, t_ppr = [], 0.0, 0.0
     for q in queries:
@@ -250,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("answer", help="rank answers for queries")
     _add_common(p)
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--max-t", type=int, default=100,
+                   help="--exact: grounding depth and power iterations")
     p.add_argument("--queries", required=True)
     p.add_argument("--exact", action="store_true",
                    help="full grounding + power iteration")
@@ -257,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ground", help="serialize grounded training graphs")
     _add_common(p)
+    p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--train", required=True, help="labeled examples file")
     p.set_defaults(func=cmd_ground)
 
@@ -264,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--train", required=True)
     p.add_argument("--groundings", help="reuse serialized groundings")
-    p.add_argument("--params-out")
+    p.add_argument("--params-out", help="weights file (default stdout)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="initial weights and example order")
     p.add_argument("--mu", type=float, default=0.001)
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=5)
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score answers against labels")
     p.add_argument("--answers", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate synthetic data")

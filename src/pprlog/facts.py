@@ -25,41 +25,39 @@ class FactStore:
     Lookups take an int-coded goal ``(pred_id, arg, ...)`` whose negative
     args are variables (``terms.encode`` gives one from an ``Atom``).
     """
-    tuples: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
+    # predicate id -> its rows, in insertion order (the dict drops
+    # duplicates; every value is None)
+    tuples: dict[int, dict[tuple[int, ...], None]] = field(
+        default_factory=dict)
     arities: dict[int, int] = field(default_factory=dict)
-    # (predicate id, argument position, constant id) -> row indices into
-    # tuples[pred_id]
-    arg_index: dict[tuple[int, int, int], list[int]] = field(
+    # (predicate id, argument position, constant id) -> the rows of
+    # tuples[pred_id] with that constant there, in insertion order
+    arg_index: dict[tuple[int, int, int], list[tuple[int, ...]]] = field(
         default_factory=dict)
     duplicate_count: int = 0
-    _seen: set[tuple] = field(default_factory=set, repr=False)
 
     def predicates(self) -> dict[str, int]:
         return {SYMBOLS[pid]: arity for pid, arity in self.arities.items()}
 
-    def count(self, pred: str) -> int:
-        return len(self.tuples.get(intern(pred), ()))
-
     def add(self, pred: str, args: Sequence[str]):
-        key = (intern(pred), *map(intern, args))
-        pid, row = key[0], key[1:]
+        pid = intern(pred)
+        row = tuple(map(intern, args))
         if self.arities.setdefault(pid, len(row)) != len(row):
             raise FactError(
                 f"ragged arity for {pred}: got {len(row)} args, "
                 f"expected {self.arities[pid]}")
-        if key in self._seen:
+        rows = self.tuples.setdefault(pid, {})
+        if row in rows:
             self.duplicate_count += 1
             return
-        self._seen.add(key)
-        rows = self.tuples.setdefault(pid, [])
+        rows[row] = None
         index = self.arg_index
         for pos, val in enumerate(row):
-            index.setdefault((pid, pos, val), []).append(len(rows))
-        rows.append(row)
+            index.setdefault((pid, pos, val), []).append(row)
 
     def _postings(self, goal: IntAtom):
-        """(rows, shortest posting list over the bound arguments or None,
-        whether every row it selects matches the goal).
+        """(the rows to scan: the shortest posting list over the bound
+        arguments, or every row when none is bound; whether all match).
 
         All selected rows match when at most one argument is bound and no
         variable repeats.
@@ -71,23 +69,21 @@ class FactStore:
             raise FactError(
                 f"{SYMBOLS[pid]} queried with arity {len(goal) - 1}, "
                 f"stored arity is {self.arities[pid]}")
-        best = None
+        rows = self.tuples[pid]
         bound = 0
         for pos, a in enumerate(goal[1:]):
             if a >= 0:
                 bound += 1
                 idx = self.arg_index.get((pid, pos, a), ())
-                if best is None or len(idx) < len(best):
-                    best = idx
+                if bound == 1 or len(idx) < len(rows):
+                    rows = idx
         free = len(goal) - 1 - bound
         exact = bound <= 1 and len({a for a in goal if a < 0}) == free
-        return self.tuples[pid], best, exact
+        return rows, exact
 
     def match(self, goal: IntAtom) -> list[tuple[int, ...]]:
         """The rows matching an int-coded goal, in insertion order."""
-        rows, best, exact = self._postings(goal)
-        if best is not None:
-            rows = map(rows.__getitem__, best)
+        rows, exact = self._postings(goal)
         if exact:
             return list(rows)
         return [row for row in rows if _fits(goal, row)]
@@ -99,11 +95,9 @@ class FactStore:
         selected row matches, the answer is a posting-list length (or the
         row count); otherwise the shortest posting list is scanned.
         """
-        rows, best, exact = self._postings(goal)
+        rows, exact = self._postings(goal)
         if exact:
-            return len(rows if best is None else best)
-        if best is not None:
-            rows = map(rows.__getitem__, best)
+            return len(rows)
         return sum(1 for row in rows if _fits(goal, row))
 
 

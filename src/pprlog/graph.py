@@ -39,6 +39,7 @@ class GroundedGraph:
     solutions: dict[int, str] = field(default_factory=dict)  # id -> answer
     query: str = ""
     labels: dict[int, bool] = field(default_factory=dict)    # id -> is positive
+    depths: dict[int, int] = field(default_factory=dict)     # id -> SLD depth
 
     @property
     def num_nodes(self) -> int:

@@ -523,7 +523,7 @@ def ground_full(query: Atom, program: Program, store: FactStore,
     expander = _ProverExpander(prover, params, w, fn, v0)
     g = GroundedGraph(query=repr(query))
     ids = {v0: g.add_node(v0)}
-    depths = {0: 0}
+    g.depths[0] = 0
     frontier = [v0]
     for depth in range(params.max_T):
         if not frontier:
@@ -540,12 +540,11 @@ def ground_full(query: Atom, program: Program, store: FactStore,
                             f"grounding {query!r}")
                     nid = g.add_node(target)
                     ids[target] = nid
-                    depths[nid] = depth + 1
+                    g.depths[nid] = depth + 1
                     nxt.append(target)
                 g.add_edge(u, nid, phi, is_restart=isr)
         frontier = nxt
     for nid, payload in enumerate(g.nodes):
         if payload.is_solution:
             g.solutions[nid] = payload.answer_text()
-    g.depths = depths
     return g

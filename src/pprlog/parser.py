@@ -7,7 +7,8 @@ Grammar (one clause per '.', '%' comments):
     featurelist := atom ("," atom)*
 
 Variables are uppercase-initial identifiers (or "_"-initial); constants are
-lowercase-initial identifiers, numbers, or single-quoted strings.
+lowercase-initial identifiers, numbers, or single-quoted strings in which
+a backslash escapes the next character (``'it\\'s'`` is ``it's``).
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ class _Tokenizer:
                              line, col)
 
 
+def _unquote(text: str) -> str:
+    return re.sub(r"\\(.)", r"\1", text[1:-1], flags=re.S)
+
+
 class _ClauseParser:
     def __init__(self, tok: _Tokenizer):
         self.tok = tok
@@ -133,7 +138,7 @@ class _ClauseParser:
     def _term(self) -> Term:
         kind, text, line, col = self.tok.next()
         if kind == "quoted":
-            return Const(text[1:-1])
+            return Const(_unquote(text))
         if kind != "name":
             raise ParseError(f"expected a term, found {text!r}", line, col)
         if text[0].isupper() or text[0] == "_":
@@ -146,7 +151,7 @@ class _ClauseParser:
     def atom(self) -> Atom:
         kind, text, line, col = self.tok.next()
         if kind == "quoted":
-            pred = text[1:-1]
+            pred = _unquote(text)
         elif kind == "name" and not (text[0].isupper() or text[0] == "_"):
             pred = text
         else:

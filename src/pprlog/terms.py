@@ -11,8 +11,20 @@ and constant names are interned in one process-wide symbol table to ids
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
+
+_BARE_NAME = re.compile(r"[a-z0-9][A-Za-z0-9_-]*")
+
+
+def _quote(name: str) -> str:
+    """A constant or predicate name as the parser reads it back: bare when
+    it is an identifier starting with a lowercase letter or a digit,
+    otherwise single-quoted with ``\\`` and ``'`` backslash-escaped."""
+    if _BARE_NAME.fullmatch(name):
+        return name
+    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 @dataclass(frozen=True, slots=True)
@@ -20,7 +32,7 @@ class Const:
     name: str
 
     def __repr__(self):
-        return self.name
+        return _quote(self.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +59,8 @@ class Atom:
 
     def __repr__(self):
         if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(map(repr, self.args))})"
+            return _quote(self.pred)
+        return f"{_quote(self.pred)}({','.join(map(repr, self.args))})"
 
 
 def variables_of(atoms: Iterable[Atom]) -> list[Var]:

@@ -1,9 +1,11 @@
 """End-to-end runs of the command line driver, in-process via main()."""
 
+import argparse
+
 import pytest
 
 from conftest import HYPERLINK_FACTS, TABLE_PROGRAM
-from pprlog.cli import main
+from pprlog.cli import build_parser, main
 from pprlog.weights import load_params
 
 
@@ -156,7 +158,7 @@ def test_train_rejects_unlabelable_examples(workspace, capsys):
 
 
 def test_ground_refuses_unwritable_feature_name(tmp_path, capsys):
-    # the fact constant a)b makes the feature by(a)b), which a record
+    # the fact constant a)b makes the feature by('a)b'), which a record
     # would read back merged with the next feature
     (tmp_path / "rules.pl").write_text("p(X,Y) :- q(X,Z), s(Z,Y).\n"
                                        "s(Z,Y) :- t(Z,Y) # by(Z), sim.")
@@ -169,7 +171,7 @@ def test_ground_refuses_unwritable_feature_name(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error\t") and err.count("\n") == 1
-    assert "'by(a)b)'" in err
+    assert "by('a)b')" in err
     assert not out.exists()
 
 
@@ -177,7 +179,14 @@ def test_ground_refuses_unwritable_feature_name(tmp_path, capsys):
     ["train", "--rules", "r.pl", "--facts", "f.tsv", "--train", "t.tsv",
      "--threads", "2"],
     ["answer", "--queries", "q.txt"],
-], ids=["unknown-flag", "missing-rules"])
+    ["answer", "--rules", "r.pl", "--facts", "f.tsv", "--queries", "q.txt",
+     "--seed", "1"],
+    ["ground", "--rules", "r.pl", "--facts", "f.tsv", "--train", "t.tsv",
+     "--max-t", "5"],
+    ["train", "--rules", "r.pl", "--facts", "f.tsv", "--train", "t.tsv",
+     "--out", "w.tsv"],
+], ids=["unknown-flag", "missing-rules", "answer-seed", "ground-max-t",
+        "train-out"])
 def test_usage_error_is_one_error_line(args, capsys):
     with pytest.raises(SystemExit) as exit_:
         run(args)
@@ -185,6 +194,47 @@ def test_usage_error_is_one_error_line(args, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error\t")
     assert err.count("\n") == 1
+
+
+def test_every_flag_is_read(workspace):
+    ws = workspace
+    answers, graphs = ws / "answers.tsv", ws / "graphs.tsv"
+    runs = [
+        ["answer", *common(ws), "--queries", ws / "queries.txt",
+         "--out", answers],
+        ["answer", *common(ws), "--queries", ws / "queries.txt", "--exact",
+         "--out", ws / "exact.tsv"],
+        ["ground", *common(ws), "--train", ws / "train.tsv", "--out", graphs],
+        ["train", *common(ws), "--train", ws / "train.tsv", "--epochs", "1",
+         "--params-out", ws / "w1.tsv"],
+        ["train", *common(ws), "--train", ws / "train.tsv", "--epochs", "1",
+         "--groundings", graphs, "--params-out", ws / "w2.tsv"],
+        ["eval", "--answers", answers, "--labels", ws / "train.tsv",
+         "--out", ws / "scores.tsv"],
+        ["synth", "--task", "hyperlink", "--entities", "8", "--queries", "2",
+         "--out-dir", ws / "h"],
+        ["synth", "--task", "citation", "--papers", "2", "--out-dir", ws / "c"],
+    ]
+    read: set[str] = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    declared: dict[str, set[str]] = {}
+    used: dict[str, set[str]] = {}
+    for argv in runs:
+        args = build_parser().parse_args(list(map(str, argv)),
+                                         namespace=Recording())
+        read.clear()
+        assert args.func(args) == 0, argv
+        declared.setdefault(argv[0], set()).update(
+            set(vars(args)) - {"command", "func"})
+        used.setdefault(argv[0], set()).update(read)
+    assert set(declared) == {"answer", "ground", "train", "eval", "synth"}
+    unread = {cmd: sorted(declared[cmd] - used[cmd]) for cmd in declared}
+    assert unread == {cmd: [] for cmd in declared}
 
 
 def test_help_exits_zero(capsys):

@@ -16,7 +16,7 @@ def row(*names):
 
 def test_load_single_fact():
     store = load_facts("links\ta\tb")
-    assert store.count("links") == 1
+    assert len(store.tuples[intern("links")]) == 1
     assert store.match(goal("links(a,b)")) == [row("a", "b")]
 
 
@@ -27,8 +27,24 @@ def test_empty_file():
 
 def test_duplicates_counted_once():
     store = load_facts("links\ta\tb\nlinks\ta\tb\nlinks\ta\tb")
-    assert store.count("links") == 1
+    assert len(store.tuples[intern("links")]) == 1
     assert store.duplicate_count == 2
+
+
+def test_each_row_stored_once():
+    store = load_facts("links\ta\tb\nlinks\ta\tc\nlinks\tb\tc\n"
+                       "links\ta\tb\nt\ta\tb\ta\nedge\tc\tc")
+    stored = [r for rows in store.tuples.values() for r in rows]
+    in_postings = {id(r) for idx in store.arg_index.values() for r in idx}
+    assert len(stored) == 5
+    assert in_postings == {id(r) for r in stored}
+
+
+def test_match_returns_a_fresh_list():
+    store = load_facts("links\ta\tb\nlinks\ta\tc")
+    rows = store.match(goal("links(a,Y)"))
+    rows.clear()
+    assert len(store.match(goal("links(a,Y)"))) == 2
 
 
 def test_ragged_arity_rejected():

@@ -2,9 +2,9 @@ import pytest
 
 from pprlog.facts import load_facts
 from pprlog.graph import RESTART_FEATURE
-from pprlog.grounder import (GroundingError, GroundingParams, Prover,
-                             ground_full, make_node, start_node,
-                             transition_distribution)
+from pprlog.grounder import (BudgetError, GroundingError, GroundingParams,
+                             Prover, approximate_ground, ground_full,
+                             make_node, start_node, transition_distribution)
 from pprlog.parser import parse_atom, parse_program
 from pprlog.weights import EXP, LINEAR, ParameterVector
 
@@ -181,6 +181,26 @@ def test_ground_full_depth_zero(hyperlink_program, hyperlink_store):
                     hyperlink_store, GroundingParams(max_T=0),
                     ParameterVector(), LINEAR)
     assert g.num_nodes == 1 and g.num_edges == 0
+
+
+def test_ground_full_node_budget(hyperlink_program, hyperlink_store):
+    params = GroundingParams(max_T=10, node_budget=3)
+    with pytest.raises(BudgetError, match="node budget 3"):
+        ground_full(parse_atom("about(a,Z)"), hyperlink_program,
+                    hyperlink_store, params, ParameterVector(), LINEAR)
+
+
+def test_answers_with_quoted_constants_are_distinct():
+    # the one-argument answer for the constant "a,b" is not the text of
+    # the two-argument atom p(a,b)
+    prog = parse_program("p(X) :- q(X) # f.")
+    store = load_facts("q\ta,b\nq\tc")
+    g, _, _ = approximate_ground(parse_atom("p(Y)"), prog, store,
+                                 GroundingParams(), ParameterVector(), LINEAR)
+    answers = set(g.solutions.values())
+    assert answers == {"p('a,b')", "p(c)"}
+    assert parse_atom("p('a,b')").arity == 1
+    assert repr(parse_atom("p(a,b)")) == "p(a,b)"
 
 
 def test_ground_full_unknown_predicate(hyperlink_program, hyperlink_store):

@@ -7,7 +7,7 @@ from conftest import oracle_exact_ppr, random_grounded_graph
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
 from pprlog.inference import (auc, average_precision, extract_answers,
                               power_iterate)
-from pprlog.weights import LINEAR, ParameterVector
+from pprlog.weights import EXP, LINEAR, ParameterVector
 
 
 def test_single_absorbing_node():
@@ -53,6 +53,18 @@ def test_random_graphs_match_dense_solve():
         v = power_iterate(g, w, LINEAR, T=3000, tol=1e-14)
         exact = oracle_exact_ppr(g, w, "linear", 0.1)
         assert np.abs(v - exact).max() < 1e-8
+
+
+def test_non_finite_exp_weight_names_the_edge():
+    g = GroundedGraph()
+    for _ in range(3):
+        g.add_node()
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 1, {"f": 1.0})
+    g.add_edge(0, 2, {"big": 1.0})
+    with (pytest.raises(ValueError, match="non-finite weight on edge 0->2"),
+          np.errstate(over="ignore")):    # exp(1000) overflows to inf
+        power_iterate(g, ParameterVector({"big": 1000.0}), EXP)
 
 
 def test_extract_answers_renormalizes():

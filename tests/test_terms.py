@@ -80,7 +80,18 @@ def test_mgu_generality_brute_force(x, y):
 
 
 def test_parse_pretty_print_roundtrip():
-    src = "p(X) :- q(X),r(X,b) # f(b).\nlinked(X,Y,W) :- true # by(W).\n"
+    src = ("p(X) :- q(X),r(X,b) # f(b).\nlinked(X,Y,W) :- true # by(W).\n"
+           "p('Weird Const') :- q('a,b'),r('A','it\\'s') # f('').\n"
+           "'Odd pred'(X) :- q(X).\n")
     prog = parse_program(src)
     again = parse_program("\n".join(repr(c) for c in prog.clauses))
     assert [repr(c) for c in again.clauses] == [repr(c) for c in prog.clauses]
+    assert again.clauses == prog.clauses
+    quoted = prog.clauses[2]
+    assert quoted.head.args == (Const("Weird Const"),)
+    assert [t for b in quoted.body for t in b.args] == [
+        Const("a,b"), Const("A"), Const("it's")]
+    assert quoted.features[0].args == (Const(""),)
+    assert prog.clauses[3].head.pred == "Odd pred"
+    assert repr(quoted) == ("p('Weird Const') :- q('a,b'),r('A','it\\'s') "
+                            "# f('').")
