@@ -89,7 +89,7 @@ def cmd_answer(args) -> int:
         try:
             if args.exact:
                 t0 = time.perf_counter()
-                g = ground_full(q, program, store, params, w, fn)
+                g = ground_full(q, program, store, params)
                 t_ground += time.perf_counter() - t0
                 t0 = time.perf_counter()
                 v = power_iterate(g, w, fn, params.max_T,

@@ -120,12 +120,8 @@ def load_facts(source: str) -> FactStore:
         if len(parts) < 2:
             raise FactError(f"line {lineno}: expected predicate<TAB>args, "
                             f"got {line!r}")
-        args = parts[1:]
-        for a in args:
-            if a and (a[0].isupper() or a[0] == "_"):
-                raise FactError(f"line {lineno}: non-ground entry {a!r}")
         try:
-            store.add(parts[0], args)
+            store.add(parts[0], parts[1:])
         except FactError as e:
             raise FactError(f"line {lineno}: {e}") from None
     return store

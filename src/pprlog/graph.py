@@ -9,6 +9,7 @@ gradient propagation) can run over plain numpy buffers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,8 @@ class NumericGraph:
                           weights=self.weight_array(w)[self.ef_feat]
                           * self.ef_val,
                           minlength=self.num_edges)
-        raw = np.where(self.implicit_mask, 1.0, fn.array(dot))
+        with np.errstate(over="ignore"):  # the check below names the edge
+            raw = np.where(self.implicit_mask, 1.0, fn.array(dot))
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
             bad = int(np.argmin(np.where(np.isfinite(raw), raw, -np.inf)))
             raise ValueError(f"nonpositive or non-finite weight on edge "
@@ -149,20 +151,22 @@ class NumericGraph:
                       "clamped": clamped}
 
 
+# A feature item: runs of characters other than ,()' (each run maximal,
+# so a failed match backtracks in linear time), quoted names (a backslash
+# escapes the next character) and parenthesized groups of those.
+_QUOTED = r"'[^'\\]*(?:\\.[^'\\]*)*'"
+_ITEM = (rf"(?:[^,()']+(?![^,()'])|{_QUOTED}"
+         rf"|\((?:[^()']+(?![^()'])|{_QUOTED})*\))*")
+_NEXT_ITEM = re.compile(rf"(?!\Z)({_ITEM})(?:,|\Z)", re.S)
+
+
 def _split_features(text: str) -> list[str]:
-    """Split 'f(a,b)=1.0,g=2' on commas not inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            depth += ch == "("
-            depth -= ch == ")"
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+    """Split 'f(a,b)=1.0,g=2' on commas outside parentheses and quoted
+    names.  Text the items do not tile (an unbalanced parenthesis or
+    quote) is one part."""
+    parts = _NEXT_ITEM.findall(text)
+    joined = ",".join(parts)
+    return parts if text in (joined, joined + ",") else [text]
 
 
 def serialize(g: GroundedGraph) -> str:
@@ -215,6 +219,9 @@ def deserialize(text: str) -> list[GroundedGraph]:
                 nid = node_id(parts[0])
                 g.solutions[nid] = parts[1]
                 if len(parts) > 2:
+                    if parts[2] not in ("+", "-"):
+                        raise ValueError(f"record for {query!r} has label "
+                                         f"{parts[2]!r}, not + or -")
                     g.labels[nid] = parts[2] == "+"
             elif kind == "edge":
                 s, d, feats = rest.split("\t")
@@ -223,6 +230,9 @@ def deserialize(text: str) -> list[GroundedGraph]:
                     if not item:
                         continue
                     name, _, val = item.rpartition("=")
+                    if not name:
+                        raise ValueError(f"record for {query!r} has feature "
+                                         f"{item!r} without a name")
                     phi[name] = float(val)
                 g.add_edge(node_id(s), node_id(d), phi,
                            is_restart=RESTART_FEATURE in phi)

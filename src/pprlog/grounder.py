@@ -44,6 +44,8 @@ class GroundingParams:
             raise ValueError("alpha_prime must be in (0, alpha]")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must be in (0,1)")
+        if self.max_T < 0 or self.node_budget < 1:
+            raise ValueError("max_T must be >= 0 and node_budget >= 1")
 
 
 class ProofNode(tuple):
@@ -462,7 +464,7 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
 
 
 class _ProverExpander:
-    """Adapts a Prover to the expander interface used by the push loop."""
+    """A Prover's edges for ``ground_full`` and the push loop's expander."""
 
     def __init__(self, prover: Prover, params: GroundingParams,
                  w: ParameterVector, fn: WeightFn, v0: ProofNode):
@@ -472,14 +474,15 @@ class _ProverExpander:
         self.fn = fn
         self.v0 = v0
 
-    def __call__(self, node: ProofNode):
+    def successors(self, node: ProofNode):
+        """(successors, restart_phi) of ``node``; a solution self-loops."""
         if node.is_solution:
-            successors = [(node, {SELF_LOOP_FEATURE: 1.0})]
-            restart_phi = {RESTART_FEATURE: 1.0}
-        else:
-            successors = self.prover.expand(node)
-            restart_phi = self.prover.restart_features(node, self.params.alpha)
-        return transition_distribution(successors, restart_phi, self.w,
+            return [(node, {SELF_LOOP_FEATURE: 1.0})], {RESTART_FEATURE: 1.0}
+        return (self.prover.expand(node),
+                self.prover.restart_features(node, self.params.alpha))
+
+    def __call__(self, node: ProofNode):
+        return transition_distribution(*self.successors(node), self.w,
                                        self.fn, self.params.alpha_prime,
                                        restart_target=self.v0)
 
@@ -502,36 +505,32 @@ def approximate_ground(query: Atom, program: Program, store: FactStore,
     p, r, g, stats = pagerank_nibble(v0, expander, params.alpha_prime,
                                      params.epsilon, params.node_budget,
                                      expander.lower_bound)
-    g.query = repr(query)
-    for nid, payload in enumerate(g.nodes):
-        if payload.is_solution:
-            g.solutions[nid] = payload.answer_text()
+    _name_answers(g, query)
     return g, p, stats
 
 
 def ground_full(query: Atom, program: Program, store: FactStore,
-                params: GroundingParams, w: ParameterVector, fn: WeightFn,
-                ) -> GroundedGraph:
+                params: GroundingParams, w: Optional[ParameterVector] = None,
+                fn: Optional[WeightFn] = None) -> GroundedGraph:
     """Exhaustive grounding of everything reachable within max_T steps.
 
     Breadth-first expansion; nodes first reached at depth max_T are kept
     as frontier nodes but not expanded.  Node depths are recorded in
-    ``graph.depths`` (id -> SLD depth).
+    ``graph.depths`` (id -> SLD depth).  ``w`` and ``fn`` are unused.
     """
     v0 = start_node(query)
-    prover = Prover(program, store)
-    expander = _ProverExpander(prover, params, w, fn, v0)
-    g = GroundedGraph(query=repr(query))
+    expander = _ProverExpander(Prover(program, store), params, w, fn, v0)
+    g = GroundedGraph()
     ids = {v0: g.add_node(v0)}
     g.depths[0] = 0
-    frontier = [v0]
+    frontier = [(v0, 0)]
     for depth in range(params.max_T):
         if not frontier:
             break
         nxt = []
-        for node in frontier:
-            u = ids[node]
-            for target, prob, phi, isr in expander(node):
+        for node, u in frontier:
+            successors, restart_phi = expander.successors(node)
+            for target, phi in successors:
                 nid = ids.get(target)
                 if nid is None:
                     if len(ids) >= params.node_budget:
@@ -541,10 +540,16 @@ def ground_full(query: Atom, program: Program, store: FactStore,
                     nid = g.add_node(target)
                     ids[target] = nid
                     g.depths[nid] = depth + 1
-                    nxt.append(target)
-                g.add_edge(u, nid, phi, is_restart=isr)
+                    nxt.append((target, nid))
+                g.add_edge(u, nid, phi)
+            g.add_edge(u, g.start, restart_phi, is_restart=True)
         frontier = nxt
-    for nid, payload in enumerate(g.nodes):
-        if payload.is_solution:
-            g.solutions[nid] = payload.answer_text()
+    _name_answers(g, query)
     return g
+
+
+def _name_answers(g: GroundedGraph, query: Atom):
+    """Record the query text and each solution node's answer."""
+    g.query = repr(query)
+    g.solutions.update((nid, node.answer_text())
+                       for nid, node in enumerate(g.nodes) if node.is_solution)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver, in-process via main()."""
 
 import argparse
+import warnings
 
 import pytest
 
@@ -157,22 +158,51 @@ def test_train_rejects_unlabelable_examples(workspace, capsys):
     assert "usable" in capsys.readouterr().err
 
 
-def test_ground_refuses_unwritable_feature_name(tmp_path, capsys):
-    # the fact constant a)b makes the feature by('a)b'), which a record
-    # would read back merged with the next feature
+def test_ground_writes_quoted_feature_name(tmp_path):
+    # the fact constant a)b makes the feature by('a)b'), whose quotes keep
+    # a record from splitting it
     (tmp_path / "rules.pl").write_text("p(X,Y) :- q(X,Z), s(Z,Y).\n"
                                        "s(Z,Y) :- t(Z,Y) # by(Z), sim.")
-    (tmp_path / "facts.tsv").write_text("q\tc\ta)b\nt\ta)b\td\n")
-    (tmp_path / "train.tsv").write_text("p(c,Y)\t+p(c,d)\n")
-    out = tmp_path / "graphs.tsv"
-    code = run(["ground", "--rules", tmp_path / "rules.pl",
-                "--facts", tmp_path / "facts.tsv",
-                "--train", tmp_path / "train.tsv", "--out", out])
-    assert code == 1
+    (tmp_path / "facts.tsv").write_text("q\tc\ta)b\nt\ta)b\td\n"
+                                        "t\ta)b\te\n")
+    (tmp_path / "train.tsv").write_text("p(c,Y)\t+p(c,d)\t-p(c,e)\n")
+    ws = ["--rules", tmp_path / "rules.pl", "--facts", tmp_path / "facts.tsv",
+          "--train", tmp_path / "train.tsv"]
+    graphs, weights = tmp_path / "graphs.tsv", tmp_path / "w.tsv"
+    assert run(["ground", *ws, "--out", graphs]) == 0
+    assert "by('a)b')=" in graphs.read_text()
+    assert run(["train", *ws, "--groundings", graphs,
+                "--params-out", weights]) == 0
+    assert "by('a)b')" in load_params(weights.read_text())
+
+
+def test_answer_rejects_negative_horizon(workspace, capsys):
+    code = run(["answer", *common(workspace), "--queries",
+                workspace / "queries.txt", "--exact", "--max-t", "-1"])
+    assert code != 0
     err = capsys.readouterr().err
     assert err.startswith("error\t") and err.count("\n") == 1
-    assert "by('a)b')" in err
-    assert not out.exists()
+    assert "max_T" in err
+
+
+def test_answer_exact_reports_weight_overflow(tmp_path):
+    (tmp_path / "rules.pl").write_text("p(X) :- q(X) # f.")
+    (tmp_path / "facts.tsv").write_text("q\ta\n")
+    (tmp_path / "queries.txt").write_text("p(Y)\n")
+    (tmp_path / "w.tsv").write_text("f\t1e4\n")
+    out = tmp_path / "answers.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["answer", "--rules", tmp_path / "rules.pl",
+                    "--facts", tmp_path / "facts.tsv",
+                    "--queries", tmp_path / "queries.txt",
+                    "--params-in", tmp_path / "w.tsv", "--weightfn", "exp",
+                    "--exact", "--out", out]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "query\tp(Y)"
+    assert lines[1].startswith("error\tnonpositive or non-finite weight "
+                               "on edge 0->1")
+    assert len(lines) == 2
 
 
 @pytest.mark.parametrize("args", [

@@ -1,8 +1,10 @@
 import pytest
 
 from pprlog.facts import FactError, load_facts
-from pprlog.parser import parse_atom
+from pprlog.grounder import GroundingParams, approximate_ground
+from pprlog.parser import parse_atom, parse_program
 from pprlog.terms import SYMBOLS, encode, intern
+from pprlog.weights import LINEAR, ParameterVector
 
 
 def goal(text):
@@ -52,9 +54,15 @@ def test_ragged_arity_rejected():
         load_facts("links\ta\tb\nlinks\ta")
 
 
-def test_non_ground_rejected():
-    with pytest.raises(FactError, match="non-ground"):
-        load_facts("links\ta\tB")
+def test_fact_may_hold_uppercase_constant():
+    # a TSV argument has no variables; the rules and queries quote it
+    prog = parse_program("p(X) :- q(X).")
+    store = load_facts("q\tA\nq\t_b")
+    for query in ("p(Y)", "p('A')"):
+        g, _, _ = approximate_ground(parse_atom(query), prog, store,
+                                     GroundingParams(), ParameterVector(),
+                                     LINEAR)
+        assert "p('A')" in g.solutions.values()
 
 
 def test_match_insertion_order():

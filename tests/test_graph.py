@@ -145,13 +145,27 @@ def test_serialize_refuses_name_that_reads_back_differently(name):
         serialize(g)
 
 
+@pytest.mark.parametrize("name", ["by('a)b')", "by('a,b')", "by('(')",
+                                  "by('it\\'s','c\\\\')"])
+def test_serialize_round_trips_quoted_name(name):
+    g = sample_graph()
+    g.add_edge(1, 1, {name: 1.0, "sim": 1.0})
+    back = deserialize(serialize(g))[0]
+    assert [e.phi for e in back.edges if e.src == e.dst == 1] == [
+        {name: 1.0, "sim": 1.0}]
+    assert serialize(back) == serialize(g)
+
+
 @pytest.mark.parametrize("old,new", [
     ("\nsol\t", "\nsolution\t"),
     ("\nedge\t1\t2\t", "\nedge\t1\t3\t"),
     ("\nedge\t2\t0\t", "\nedge\t-1\t0\t"),
     ("\nsol\t2\t", "\nsol\t7\t"),
     ("q(a,X)\t0\t", "q(a,X)\t3\t"),
-], ids=["line-kind", "edge-dst", "edge-src", "solution", "start"])
+    ("\tdb=1.0\n", "\t1.0\n"),
+    ("\tq(a,b)\t+\n", "\tq(a,b)\t?\n"),
+], ids=["line-kind", "edge-dst", "edge-src", "solution", "start",
+        "feature-name", "label"])
 def test_deserialize_rejects_malformed_record(old, new):
     text = serialize(sample_graph())
     assert text.count(old) == 1

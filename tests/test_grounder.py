@@ -1,10 +1,14 @@
+import warnings
+
 import pytest
 
+from pprlog import grounder
 from pprlog.facts import load_facts
-from pprlog.graph import RESTART_FEATURE
+from pprlog.graph import RESTART_FEATURE, serialize
 from pprlog.grounder import (BudgetError, GroundingError, GroundingParams,
                              Prover, approximate_ground, ground_full,
                              make_node, start_node, transition_distribution)
+from pprlog.inference import power_iterate
 from pprlog.parser import parse_atom, parse_program
 from pprlog.weights import EXP, LINEAR, ParameterVector
 
@@ -188,6 +192,46 @@ def test_ground_full_node_budget(hyperlink_program, hyperlink_store):
     with pytest.raises(BudgetError, match="node budget 3"):
         ground_full(parse_atom("about(a,Z)"), hyperlink_program,
                     hyperlink_store, params, ParameterVector(), LINEAR)
+
+
+def test_ground_full_weighs_no_edge(hyperlink_program, hyperlink_store,
+                                    monkeypatch):
+    def ground():
+        g = ground_full(parse_atom("about(a,Z)"), hyperlink_program,
+                        hyperlink_store, GroundingParams(max_T=30),
+                        ParameterVector(), LINEAR)
+        return serialize(g), g.depths
+
+    expected = ground()
+
+    def weigh(*args, **kwargs):
+        raise AssertionError("ground_full weighed an edge")
+
+    monkeypatch.setattr(grounder, "transition_distribution", weigh)
+    monkeypatch.setattr(grounder, "edge_weight", weigh)
+    assert ground() == expected
+
+
+def test_exact_path_reports_overflow_once():
+    # exp(1e4) overflows: grounding needs no weights, and power_iterate
+    # names the edge without a numpy warning
+    prog = parse_program("p(X) :- q(X) # f.")
+    store = load_facts("q\ta")
+    w = ParameterVector({"f": 1e4})
+    params = GroundingParams()
+    g = ground_full(parse_atom("p(Y)"), prog, store, params, w, EXP)
+    assert list(g.solutions.values()) == ["p(a)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite weight on edge 0->1"):
+            power_iterate(g, w, EXP, params.max_T,
+                          alpha_prime=params.alpha_prime)
+
+
+@pytest.mark.parametrize("field,value", [("max_T", -1), ("node_budget", 0)])
+def test_params_reject_bad_horizon_and_budget(field, value):
+    with pytest.raises(ValueError, match=field):
+        GroundingParams(**{field: value})
 
 
 def test_answers_with_quoted_constants_are_distinct():

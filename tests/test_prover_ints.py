@@ -91,9 +91,9 @@ def ref_expand(program, facts, node: RefNode) -> list:
 
 
 class RefExpander:
-    """Stands in for the grounder's prover expander: the same transition
-    distribution over reference states.  At each state it expands, the
-    int-coded prover expands the same state and must agree."""
+    """Stands in for the grounder's prover expander: the same successors
+    and transition distribution over reference states.  At each state it
+    expands, the int-coded prover expands the same state and must agree."""
 
     def __init__(self, prover: Prover, params, w, fn, v0, facts: dict,
                  checked: list):
@@ -102,26 +102,27 @@ class RefExpander:
         self.facts = facts
         self.checked = checked
 
-    def __call__(self, node: RefNode):
+    def successors(self, node: RefNode):
         if node.is_solution:
-            successors = [(node, {SELF_LOOP_FEATURE: 1.0})]
-            restart_phi = {RESTART_FEATURE: 1.0}
-        else:
-            successors = ref_expand(self.prover.program, self.facts, node)
-            goal = node.subgoals[0]
-            alpha = self.params.alpha
-            restart_phi = {RESTART_FEATURE: (
-                len(ref_matches(self.facts, goal)) * alpha / (1.0 - alpha)
-                if goal.pred in self.facts else 1.0)}
-            coded = make_node(node.query, node.subgoals)
-            decoded = [((tuple(map(decode, child.query)),
-                         tuple(map(decode, child.subgoals))), phi)
-                       for child, phi in self.prover.expand(coded)]
-            assert decoded == [((c.query, c.subgoals), phi)
-                               for c, phi in successors], node
-            assert self.prover.restart_features(coded, alpha) == restart_phi
-            self.checked.append(node)
-        return transition_distribution(successors, restart_phi, self.w,
+            return [(node, {SELF_LOOP_FEATURE: 1.0})], {RESTART_FEATURE: 1.0}
+        successors = ref_expand(self.prover.program, self.facts, node)
+        goal = node.subgoals[0]
+        alpha = self.params.alpha
+        restart_phi = {RESTART_FEATURE: (
+            len(ref_matches(self.facts, goal)) * alpha / (1.0 - alpha)
+            if goal.pred in self.facts else 1.0)}
+        coded = make_node(node.query, node.subgoals)
+        decoded = [((tuple(map(decode, child.query)),
+                     tuple(map(decode, child.subgoals))), phi)
+                   for child, phi in self.prover.expand(coded)]
+        assert decoded == [((c.query, c.subgoals), phi)
+                           for c, phi in successors], node
+        assert self.prover.restart_features(coded, alpha) == restart_phi
+        self.checked.append(node)
+        return successors, restart_phi
+
+    def __call__(self, node: RefNode):
+        return transition_distribution(*self.successors(node), self.w,
                                        self.fn, self.params.alpha_prime,
                                        restart_target=self.v0)
 
