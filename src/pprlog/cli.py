@@ -67,16 +67,19 @@ def _read_queries(path: str):
 
 def _read_examples(path: str):
     examples = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        query = parse_atom(fields[0])
-        pos = tuple(repr(parse_atom(f[1:])) for f in fields[1:]
-                    if f.startswith("+"))
-        neg = tuple(repr(parse_atom(f[1:])) for f in fields[1:]
-                    if f.startswith("-"))
-        examples.append(TrainingExample(query, pos, neg))
+        query, *labels = line.split("\t")
+        for f in labels:
+            if f[:1] not in ("+", "-"):
+                raise ValueError(f"{path} line {lineno}: label {f!r} does "
+                                 f"not start with + or -")
+        pos = tuple(repr(parse_atom(f[1:])) for f in labels if f[0] == "+")
+        neg = tuple(repr(parse_atom(f[1:])) for f in labels if f[0] == "-")
+        examples.append(TrainingExample(parse_atom(query), pos, neg))
+    if not examples:
+        raise ValueError(f"{path} has no examples")
     return examples
 
 
@@ -167,19 +170,21 @@ def cmd_train(args) -> int:
 
 def _read_answers(path: str):
     per_query: dict[str, dict[str, float]] = {}
-    current = None
-    for line in Path(path).read_text().splitlines():
+    scores = None   # the current query's answers
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         kind, _, rest = line.partition("\t")
         if kind == "query":
-            current = rest
-            per_query.setdefault(current, {})
+            scores = per_query.setdefault(rest, {})
         elif kind == "error":
             continue
+        elif scores is None:
+            raise ValueError(f"{path} line {lineno}: an answer before any "
+                             f"query line")
         else:
             prob, answer = rest.split("\t")
-            per_query[current][answer] = float(prob)
+            scores[answer] = float(prob)
     return per_query
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +25,14 @@ SELF_LOOP_FEATURE = "id(selfLoop)"
 BUILTIN_FEATURES = frozenset((DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     phi: FeatureVector
-    is_restart: bool = False
+
+    @property
+    def is_restart(self) -> bool:
+        return RESTART_FEATURE in self.phi
 
 
 @dataclass
@@ -54,9 +57,8 @@ class GroundedGraph:
         self.nodes.append(payload)
         return len(self.nodes) - 1
 
-    def add_edge(self, src: int, dst: int, phi: FeatureVector,
-                 is_restart: bool = False):
-        self.edges.append(Edge(src, dst, dict(phi), is_restart))
+    def add_edge(self, src: int, dst: int, phi: FeatureVector):
+        self.edges.append(Edge(src, dst, dict(phi)))
 
 
 class NumericGraph:
@@ -64,9 +66,9 @@ class NumericGraph:
 
     Edges are ordered by source node (stably, so each node's edges keep
     their grounding order).  Nodes with no outgoing edges (unexpanded
-    frontier nodes of an approximate grounding) are given an implicit
-    probability-1 restart to the start node; that edge carries no
-    features and hence no gradient.  The feature vectors are flattened
+    frontier nodes of a grounding) are given a featureless restart to the
+    start node: as the node's only edge it has probability raw/raw = 1,
+    and it passes no gradient.  The feature vectors are flattened
     into (edge, feature, value) triples ``ef_edge``/``ef_feat``/``ef_val``.
     """
 
@@ -85,25 +87,24 @@ class NumericGraph:
                                   dtype=np.float64, count=len(self.ef_feat))
         num_feats = np.fromiter((len(e.phi) for e in edges), dtype=np.int64,
                                 count=m)
+        edge_of = np.repeat(np.arange(m), num_feats)  # edge of each ef_ entry
         src = np.fromiter((e.src for e in edges), dtype=np.int64, count=m)
         dst = np.fromiter((e.dst for e in edges), dtype=np.int64, count=m)
-        restart = np.fromiter((e.is_restart for e in edges), dtype=bool,
-                              count=m)
 
         has_out = np.zeros(self.n, dtype=bool)
         has_out[src] = True
         dangling = np.flatnonzero(~has_out)
-        implicit = np.ones(len(dangling), dtype=bool)
         src = np.concatenate([src, dangling])
+        # restarts: the edges carrying RESTART_FEATURE and the appended ones
+        restart = np.arange(len(src)) >= m
+        restart[edge_of[self.ef_feat == index.get(RESTART_FEATURE, -1)]] = True
         order = np.argsort(src, kind="stable")
         self.src = src[order]
         self.dst = np.concatenate([dst, np.full(len(dangling), g.start)])[order]
-        self.restart_mask = np.concatenate([restart, implicit])[order]
-        self.implicit_mask = np.concatenate(
-            [restart & (num_feats == 0), implicit])[order]
+        self.restart_mask = restart[order]
         position = np.empty(len(order), dtype=np.int64)
         position[order] = np.arange(len(order))
-        self.ef_edge = position[np.repeat(np.arange(m), num_feats)]
+        self.ef_edge = position[edge_of]
 
     @property
     def num_edges(self) -> int:
@@ -119,7 +120,7 @@ class NumericGraph:
                           * self.ef_val,
                           minlength=self.num_edges)
         with np.errstate(over="ignore"):  # the check below names the edge
-            raw = np.where(self.implicit_mask, 1.0, fn.array(dot))
+            raw = fn.array(dot)
         if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
             bad = int(np.argmin(np.where(np.isfinite(raw), raw, -np.inf)))
             raise ValueError(f"nonpositive or non-finite weight on edge "
@@ -169,6 +170,16 @@ def _split_features(text: str) -> list[str]:
     return parts if text in (joined, joined + ",") else [text]
 
 
+def _check_feature_names(g: GroundedGraph):
+    """Raise ValueError for a feature name of ``g`` that a record would
+    read back as another name."""
+    for name in dict.fromkeys(name for e in g.edges for name in e.phi):
+        if ("\t" in name or "\n" in name
+                or _split_features(name + "=0,x") != [name + "=0", "x"]):
+            raise ValueError(f"feature {name!r} of {g.query!r} cannot be "
+                             f"held in a grounded-graph record")
+
+
 def serialize(g: GroundedGraph) -> str:
     """One grounded-graph record, deterministically ordered.
 
@@ -177,11 +188,7 @@ def serialize(g: GroundedGraph) -> str:
     known), then ``edge`` lines sorted by (src, dst).  Raises ValueError
     for a feature name that would read back as another name.
     """
-    for name in dict.fromkeys(name for e in g.edges for name in e.phi):
-        if ("\t" in name or "\n" in name
-                or _split_features(name + "=0,x") != [name + "=0", "x"]):
-            raise ValueError(f"feature {name!r} of {g.query!r} cannot be "
-                             f"written to a grounded-graph record")
+    _check_feature_names(g)
     lines = [f"{g.query}\t{g.start}\t{g.num_nodes}\t{g.num_edges}"]
     for nid in sorted(g.solutions):
         row = f"sol\t{nid}\t{g.solutions[nid]}"
@@ -195,52 +202,64 @@ def serialize(g: GroundedGraph) -> str:
 
 
 def deserialize(text: str) -> list[GroundedGraph]:
-    """Parse one or more blank-line-separated grounded-graph records."""
-    graphs = []
-    for block in text.split("\n\n"):
-        if not block.strip():
-            continue
-        lines = block.strip("\n").split("\n")
-        query, start, num_nodes, num_edges = lines[0].split("\t")
-        n = int(num_nodes)
+    """Parse one or more blank-line-separated grounded-graph records.
 
-        def node_id(text: str) -> int:
-            nid = int(text)
-            if not 0 <= nid < n:
-                raise ValueError(f"record for {query!r} has node id {nid} "
-                                 f"outside [0, {n})")
-            return nid
+    Raises ValueError, naming the record's query, for any line that
+    ``serialize`` would not write.
+    """
+    return [_read_record(block.strip("\n").split("\n"))
+            for block in text.split("\n\n") if block.strip()]
 
-        g = GroundedGraph([None] * n, query=query, start=node_id(start))
-        for line in lines[1:]:
-            kind, rest = line.split("\t", 1)
-            if kind == "sol":
-                parts = rest.split("\t")
-                nid = node_id(parts[0])
-                g.solutions[nid] = parts[1]
-                if len(parts) > 2:
-                    if parts[2] not in ("+", "-"):
-                        raise ValueError(f"record for {query!r} has label "
-                                         f"{parts[2]!r}, not + or -")
-                    g.labels[nid] = parts[2] == "+"
-            elif kind == "edge":
-                s, d, feats = rest.split("\t")
-                phi: FeatureVector = {}
-                for item in _split_features(feats):
-                    if not item:
-                        continue
-                    name, _, val = item.rpartition("=")
-                    if not name:
-                        raise ValueError(f"record for {query!r} has feature "
-                                         f"{item!r} without a name")
-                    phi[name] = float(val)
-                g.add_edge(node_id(s), node_id(d), phi,
-                           is_restart=RESTART_FEATURE in phi)
-            else:
-                raise ValueError(f"record for {query!r} has a line of "
-                                 f"unknown kind {kind!r}")
-        if g.num_edges != int(num_edges):
-            raise ValueError(f"record for {query!r} declares {num_edges} "
-                             f"edges but has {g.num_edges}")
-        graphs.append(g)
-    return graphs
+
+def _read_record(lines: list[str]) -> GroundedGraph:
+    header = lines[0].split("\t")
+    query = header[0]
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"record for {query!r} has {what}")
+
+    def number(text: str, kind=int):
+        try:
+            return kind(text)
+        except ValueError:
+            raise bad(f"{text!r} where a number belongs") from None
+
+    if len(header) != 4:
+        raise bad(f"a header of {len(header)} fields, not 4")
+    n = number(header[2])
+
+    def node_id(text: str) -> int:
+        nid = number(text)
+        if not 0 <= nid < n:
+            raise bad(f"node id {nid} outside [0, {n})")
+        return nid
+
+    g = GroundedGraph([None] * n, query=query, start=node_id(header[1]))
+    for line in lines[1:]:
+        kind, *fields = line.split("\t")
+        if kind == "sol" and len(fields) in (2, 3):
+            nid = node_id(fields[0])
+            g.solutions[nid] = fields[1]
+            if len(fields) == 3:
+                if fields[2] not in ("+", "-"):
+                    raise bad(f"label {fields[2]!r}, not + or -")
+                g.labels[nid] = fields[2] == "+"
+        elif kind == "edge" and len(fields) == 3:
+            phi: FeatureVector = {}
+            for item in _split_features(fields[2]):
+                if not item:
+                    continue
+                name, _, val = item.rpartition("=")
+                if not name:
+                    raise bad(f"feature {item!r} without a name")
+                phi[name] = number(val, float)
+            g.add_edge(node_id(fields[0]), node_id(fields[1]), phi)
+        elif kind in ("sol", "edge"):
+            raise bad(f"a {kind} line of {len(fields) + 1} fields: {line!r}")
+        else:
+            raise bad(f"a line of unknown kind {kind!r}")
+    if g.num_edges != number(header[3]):
+        raise ValueError(f"record for {query!r} declares {header[3]} "
+                         f"edges but has {g.num_edges}")
+    _check_feature_names(g)
+    return g

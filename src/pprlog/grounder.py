@@ -305,22 +305,22 @@ def _differs(atom: IntAtom, start: IntAtom) -> bool:
 
 
 def transition_distribution(successors, restart_phi, w: ParameterVector,
-                            fn: WeightFn, alpha_prime: float,
-                            restart_target=None):
+                            fn: WeightFn, alpha_prime: float, restart_target):
     """Normalized outgoing distribution over successors plus the restart.
 
     ``successors`` is a list of (target, phi); the restart edge goes to
-    ``restart_target``.  The restart weight is raised where needed so its
-    probability never falls below alpha_prime.  Returns a list of
-    (target, probability, phi, is_restart) summing to 1.
+    ``restart_target``, and ``restart_phi`` holds ``RESTART_FEATURE``.
+    The restart weight is raised where needed so its probability never
+    falls below alpha_prime.  Returns a list of (target, probability,
+    phi) summing to 1, the restart last.
     """
     raws = [edge_weight(fn, w, phi) for _, phi in successors]
     s = sum(raws)
     r0 = max(edge_weight(fn, w, restart_phi),
              alpha_prime * s / (1.0 - alpha_prime))
     z = s + r0
-    out = [(t, g / z, phi, False) for (t, phi), g in zip(successors, raws)]
-    out.append((restart_target, r0 / z, dict(restart_phi), True))
+    out = [(t, g / z, phi) for (t, phi), g in zip(successors, raws)]
+    out.append((restart_target, r0 / z, dict(restart_phi)))
     return out
 
 
@@ -333,7 +333,7 @@ class PushStats:
 
 
 # An expander maps a node to its outgoing distribution:
-# node -> list of (target, probability, phi, is_restart).
+# node -> list of (target, probability, phi); the restart's phi has defRestart.
 Expander = Callable[[Hashable], list]
 # A lower bound on the number of distinct targets of a node's expansion,
 # or None when no cheap bound is known.
@@ -346,7 +346,8 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     """Residual push approximation of the restart walk from ``start``.
 
     Works over any lazily-expandable graph whose every node has restart
-    probability >= alpha_prime.  Returns (p, r, graph, stats): the mass
+    probability >= alpha_prime, its restart edge being the one whose phi
+    holds ``RESTART_FEATURE``.  Returns (p, r, graph, stats): the mass
     approximation p, the residual r (both keyed by graph node ids), and a
     GroundedGraph holding every edge examined by a push.
 
@@ -435,20 +436,19 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
         if ru <= epsilon * degree:
             continue
         # Push: absorb an alpha' fraction, spread the rest over the
-        # restart-adjusted distribution (restart edge gives up alpha').
+        # restart-adjusted distribution (the restart gives up alpha').
         if u not in pushed:
             pushed.add(u)
-            edges = [(node_id(t), prob, phi, isr)
-                     for t, prob, phi, isr in edges]
+            edges = [(node_id(t), prob, phi) for t, prob, phi in edges]
             expanded[u] = (edges, degree)
-            for dst, _, phi, isr in edges:
-                g.add_edge(u, dst, phi, is_restart=isr)
+            for dst, _, phi in edges:
+                g.add_edge(u, dst, phi)
         stats.pushes += 1
         stats.degree_sum += degree
         p[u] = p.get(u, 0.0) + alpha_prime * ru
         r[u] = 0.0
-        for dst, prob, _, isr in edges:
-            share = (prob - alpha_prime) if isr else prob
+        for dst, prob, phi in edges:
+            share = (prob - alpha_prime) if RESTART_FEATURE in phi else prob
             if share < -1e-12:
                 raise GroundingError(
                     f"restart probability {prob} below alpha_prime="
@@ -542,7 +542,7 @@ def ground_full(query: Atom, program: Program, store: FactStore,
                     g.depths[nid] = depth + 1
                     nxt.append((target, nid))
                 g.add_edge(u, nid, phi)
-            g.add_edge(u, g.start, restart_phi, is_restart=True)
+            g.add_edge(u, g.start, restart_phi)
         frontier = nxt
     _name_answers(g, query)
     return g

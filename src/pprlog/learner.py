@@ -72,8 +72,8 @@ def _own_slopes(info: dict, fn: WeightFn) -> np.ndarray:
     """d(effective raw weight)/d(dot) of each edge through its own
     features: d raw/d dot of the weighting function, and zero on clamped
     restarts, whose effective weight tracks the floor a'S/(1-a') instead.
-    (Implicit frontier restarts carry no features, so no slope reaches
-    a weight from them.)"""
+    (The restarts given to frontier nodes carry no features, so no slope
+    reaches a weight from them.)"""
     slope = fn.slope(info["dot"], info["raw"])
     slope[info["clamped"]] = 0.0
     return slope

@@ -59,8 +59,7 @@ def random_grounded_graph(rng: random.Random, n: int, num_features: int = 6,
         g.add_node(f"n{i}")
     feats = [f"f{i}" for i in range(num_features)]
     for u in range(n):
-        g.add_edge(u, 0, {RESTART_FEATURE: rng.uniform(0.2, 2.0)},
-                   is_restart=True)
+        g.add_edge(u, 0, {RESTART_FEATURE: rng.uniform(0.2, 2.0)})
         if rng.random() < solution_fraction:
             g.solutions[u] = f"answer{u}"
             g.add_edge(u, u, {"id(selfLoop)": 1.0})

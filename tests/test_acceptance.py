@@ -150,7 +150,7 @@ def test_03_restart_calibration():
         dist = transition_distribution(succ, restart_phi, ParameterVector(),
                                        LINEAR, ALPHA_PRIME,
                                        restart_target="v0")
-        p_restart = sum(p for t, p, _, _ in dist if t == "v0")
+        p_restart = sum(p for t, p, _ in dist if t == "v0")
         ok &= abs(p_restart - ALPHA) <= 1e-9
         details.append(f"n={n}:{p_restart:.10f}")
     verdict(3, "db restart probability equals alpha", ok, " ".join(details))

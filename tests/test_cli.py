@@ -272,3 +272,37 @@ def test_help_exits_zero(capsys):
         run(["train", "--help"])
     assert exit_.value.code == 0
     assert "--rules" in capsys.readouterr().out
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error\t") and err.count("\n") == 1
+    return err
+
+
+def test_train_refuses_label_without_sign(workspace, capsys):
+    bad = workspace / "bad.tsv"
+    bad.write_text("about(a,X)\t+about(a,fashion)\n"
+                   "about(b,X)\t+about(b,fashion)\tabout(b,sport)\n")
+    assert run(["train", *common(workspace), "--train", bad]) != 0
+    err = one_error_line(capsys)
+    assert str(bad) in err and "line 2" in err and "about(b,sport)" in err
+
+
+def test_eval_refuses_answer_before_query(tmp_path, capsys):
+    (tmp_path / "answers.tsv").write_text(
+        "1\t0.4\tq(a,p1)\nquery\tq(a,X)\n2\t0.3\tq(a,n1)\n")
+    (tmp_path / "labels.tsv").write_text("q(a,X)\t+q(a,p1)\t-q(a,n1)\n")
+    assert run(["eval", "--answers", tmp_path / "answers.tsv",
+                "--labels", tmp_path / "labels.tsv"]) != 0
+    err = one_error_line(capsys)
+    assert str(tmp_path / "answers.tsv") in err and "line 1" in err
+
+
+def test_eval_refuses_empty_labels(tmp_path, capsys):
+    (tmp_path / "answers.tsv").write_text("query\tq(a,X)\n1\t0.4\tq(a,p1)\n")
+    (tmp_path / "labels.tsv").write_text("\n")
+    assert run(["eval", "--answers", tmp_path / "answers.tsv",
+                "--labels", tmp_path / "labels.tsv"]) != 0
+    err = one_error_line(capsys)
+    assert str(tmp_path / "labels.tsv") in err and "no examples" in err

@@ -7,6 +7,9 @@ import pytest
 from conftest import oracle_transition_matrix, random_grounded_graph
 from pprlog.graph import (GroundedGraph, NumericGraph, RESTART_FEATURE,
                           deserialize, serialize)
+from pprlog.grounder import GroundingParams, ground_full
+from pprlog.inference import power_iterate
+from pprlog.parser import parse_atom
 from pprlog.weights import EXP, LINEAR, ParameterVector, edge_weight
 
 
@@ -14,11 +17,11 @@ def sample_graph():
     g = GroundedGraph(query="q(a,X)")
     for _ in range(3):
         g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(0, 1, {"f(a,b)": 1.0, "g": 2.0})
-    g.add_edge(1, 0, {RESTART_FEATURE: 0.5}, is_restart=True)
+    g.add_edge(1, 0, {RESTART_FEATURE: 0.5})
     g.add_edge(1, 2, {"db": 1.0})
-    g.add_edge(2, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(2, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(2, 2, {"id(selfLoop)": 1.0})
     g.solutions[2] = "q(a,b)"
     g.labels[2] = True
@@ -83,7 +86,7 @@ def test_restart_floor_in_numeric_view():
     g = GroundedGraph()
     g.add_node()
     g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 0.001}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 0.001})
     g.add_edge(0, 1, {"f": 1.0})
     ng = NumericGraph(g)
     prob, info = ng.probabilities(ParameterVector(), LINEAR, 0.1)
@@ -97,7 +100,7 @@ def test_dangling_node_gets_implicit_restart():
     g.add_node()
     g.add_node()
     g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     ng = NumericGraph(g)
     prob, _ = ng.probabilities(ParameterVector(), LINEAR, 0.1)
     mask = ng.src == 1
@@ -114,7 +117,7 @@ def test_raw_weights_agree_with_edge_weight():
     g.add_node()
     g.add_node()
     g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     ng = NumericGraph(g)
     w = ParameterVector({"f": 3.0})
     for fn in (LINEAR, EXP):
@@ -164,10 +167,53 @@ def test_serialize_round_trips_quoted_name(name):
     ("q(a,X)\t0\t", "q(a,X)\t3\t"),
     ("\tdb=1.0\n", "\t1.0\n"),
     ("\tq(a,b)\t+\n", "\tq(a,b)\t?\n"),
+    ("\tdb=1.0\n", "\tby(a=1.0,db=2.0\n"),
+    ("\tdb=1.0\n", "\tdb=x\n"),
+    ("\tdb=1.0\n", "\n"),
+    ("\tdb=1.0\n", "\tdb=1.0\tx\n"),
+    ("q(a,X)\t0\t3\t6\n", "q(a,X)\t0\t3\n"),
+    ("q(a,X)\t0\t3\t", "q(a,X)\t0\tthree\t"),
+    ("\nsol\t2\tq(a,b)\t+\n", "\nsol\t1\n"),
 ], ids=["line-kind", "edge-dst", "edge-src", "solution", "start",
-        "feature-name", "label"])
+        "feature-name", "label", "unreadable-name", "feature-value",
+        "edge-no-features", "edge-extra-field", "header-fields",
+        "node-count", "solution-no-answer"])
 def test_deserialize_rejects_malformed_record(old, new):
     text = serialize(sample_graph())
     assert text.count(old) == 1
     with pytest.raises(ValueError, match=re.escape("q(a,X)")):
         deserialize(text.replace(old, new))
+
+
+def test_restart_is_the_edge_carrying_def_restart():
+    # the restart of node 0 is clamped by the alpha' floor; in memory and
+    # after a round trip it is the same edge, so the walk is the same
+    g = GroundedGraph(query="q(X)")
+    g.add_node()
+    g.add_node()
+    g.add_edge(0, 1, {"f": 1.0})
+    g.add_edge(0, 0, {RESTART_FEATURE: 0.01})
+    g.add_edge(1, 0, {RESTART_FEATURE: 1.0})
+    g.add_edge(1, 1, {"id(selfLoop)": 1.0})
+    g.solutions[1] = "q(a)"
+    (back,) = deserialize(serialize(g))
+    assert serialize(back) == serialize(g)
+    w = ParameterVector()
+    v = power_iterate(g, w, LINEAR, alpha_prime=0.1)
+    assert list(power_iterate(back, w, LINEAR, alpha_prime=0.1)) == list(v)
+
+
+@pytest.mark.parametrize("fn", [LINEAR, EXP])
+def test_frontier_restarts_have_probability_one(fn, hyperlink_program,
+                                                hyperlink_store):
+    g = ground_full(parse_atom("about(a,Z)"), hyperlink_program,
+                    hyperlink_store, GroundingParams(max_T=2))
+    frontier = set(range(g.num_nodes)) - {e.src for e in g.edges}
+    assert frontier
+    ng = NumericGraph(g)
+    w = ParameterVector({"db": 3.0, RESTART_FEATURE: 0.5})
+    prob, _ = ng.probabilities(w, fn, 0.1)
+    appended = np.isin(ng.src, sorted(frontier))
+    assert appended.sum() == len(frontier) == ng.num_edges - g.num_edges
+    assert (prob[appended] == 1.0).all()
+    assert (ng.dst[appended] == g.start).all()

@@ -101,7 +101,7 @@ def test_transition_uniform_weights():
     succ = [("s1", {"f1": 1.0}), ("s2", {"f2": 1.0})]
     dist = transition_distribution(succ, {RESTART_FEATURE: 1.0}, w, LINEAR,
                                    0.1, restart_target="v0")
-    assert [p for _, p, _, _ in dist] == pytest.approx([1 / 3] * 3)
+    assert [p for _, p, _ in dist] == pytest.approx([1 / 3] * 3)
 
 
 def test_transition_db_restart_calibration():
@@ -110,7 +110,7 @@ def test_transition_db_restart_calibration():
     succ = [(f"s{i}", {"db": 1.0}) for i in range(4)]
     dist = transition_distribution(succ, {RESTART_FEATURE: 4 * 0.2 / 0.8},
                                    w, LINEAR, 0.1, restart_target="v0")
-    probs = {t: p for t, p, _, _ in dist}
+    probs = {t: p for t, p, _ in dist}
     assert probs["v0"] == pytest.approx(0.2)
     assert probs["s0"] == pytest.approx(0.2)
 
@@ -120,7 +120,7 @@ def test_transition_direct_normalization():
     dist = transition_distribution([("s", {"f": 1.0})],
                                    {RESTART_FEATURE: 1.0}, w, LINEAR, 0.1,
                                    restart_target="v0")
-    probs = {t: p for t, p, _, _ in dist}
+    probs = {t: p for t, p, _ in dist}
     assert probs["s"] == pytest.approx(0.75)
     assert probs["v0"] == pytest.approx(0.25)
 
@@ -132,16 +132,16 @@ def test_transition_restart_floor_enforced():
     succ = [(f"s{i}", {"f": 1.0}) for i in range(20)]
     dist = transition_distribution(succ, {RESTART_FEATURE: 1.0}, w, LINEAR,
                                    0.1, restart_target="v0")
-    probs = {t: p for t, p, _, _ in dist}
+    probs = {t: p for t, p, _ in dist}
     assert probs["v0"] == pytest.approx(0.1)
-    assert sum(p for _, p, _, _ in dist) == pytest.approx(1.0)
+    assert sum(p for _, p, _ in dist) == pytest.approx(1.0)
 
 
 def test_transition_dead_end_is_restart_only():
     dist = transition_distribution([], {RESTART_FEATURE: 0.0},
                                    ParameterVector(), LINEAR, 0.1,
                                    restart_target="v0")
-    assert [(t, p) for t, p, _, _ in dist] == [("v0", pytest.approx(1.0))]
+    assert [(t, p) for t, p, _ in dist] == [("v0", pytest.approx(1.0))]
 
 
 def test_transition_nonpositive_weight_rejected():
@@ -154,7 +154,7 @@ def test_transition_nonpositive_weight_rejected():
     dist = transition_distribution([("s", {"f": 1.0})],
                                    {RESTART_FEATURE: 1.0}, w, LINEAR, 0.1,
                                    restart_target="v0")
-    assert all(p > 0 for _, p, _, _ in dist)
+    assert all(p > 0 for _, p, _ in dist)
 
 
 def test_ground_full_matches_proof_graph(hyperlink_program, hyperlink_store):

@@ -13,7 +13,7 @@ from pprlog.weights import EXP, LINEAR, ParameterVector
 def test_single_absorbing_node():
     g = GroundedGraph()
     g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     v = power_iterate(g, ParameterVector(), LINEAR, T=50)
     assert v[0] == pytest.approx(1.0)
 
@@ -22,9 +22,9 @@ def test_two_node_matches_dense_solve():
     g = GroundedGraph()
     g.add_node()
     g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(0, 1, {"f": 4.0})
-    g.add_edge(1, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(1, 0, {RESTART_FEATURE: 1.0})
     v = power_iterate(g, ParameterVector(), LINEAR, T=500, tol=1e-14)
     exact = oracle_exact_ppr(g, ParameterVector(), "linear", 0.1)
     assert v == pytest.approx(exact, abs=1e-10)
@@ -35,7 +35,7 @@ def test_three_node_chain_matches_dense_solve():
     for _ in range(3):
         g.add_node()
     for u in range(3):
-        g.add_edge(u, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+        g.add_edge(u, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(0, 1, {"f": 1.0})
     g.add_edge(1, 2, {"f": 1.0})
     g.add_edge(2, 2, {"id(selfLoop)": 1.0})
@@ -59,7 +59,7 @@ def test_non_finite_exp_weight_names_the_edge():
     g = GroundedGraph()
     for _ in range(3):
         g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(0, 1, {"f": 1.0})
     g.add_edge(0, 2, {"big": 1.0})
     with (pytest.raises(ValueError, match="non-finite weight on edge 0->2"),

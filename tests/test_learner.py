@@ -66,7 +66,7 @@ def test_shared_feature_gradient_sign_matches_fd():
     for _ in range(3):
         g.add_node()
     for u in range(3):
-        g.add_edge(u, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+        g.add_edge(u, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(0, 1, {"shared": 1.0})
     g.add_edge(1, 2, {"shared": 1.0})
     g.add_edge(2, 2, {"shared": 1.0})

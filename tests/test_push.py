@@ -43,7 +43,7 @@ def out_degree(g: GroundedGraph):
 def test_first_push_on_start():
     g = GroundedGraph()
     g.add_node("v0")
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     p, r, ghat, stats = run_nibble(g, eps=0.5)
     # single node: one push absorbs alpha', rest returns to the start's
     # residual, repeat until the residual drops below eps
@@ -132,9 +132,9 @@ def test_two_node_graph_matches_oracle():
     g = GroundedGraph()
     g.add_node("v0")
     g.add_node("s")
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(0, 1, {"f": 9.0})
-    g.add_edge(1, 0, {RESTART_FEATURE: 1.0}, is_restart=True)
+    g.add_edge(1, 0, {RESTART_FEATURE: 1.0})
     g.add_edge(1, 1, {"id(selfLoop)": 1.0})
     p, r, _, _ = run_nibble(g, eps=1e-9)
     exact = oracle_exact_ppr(g, ParameterVector(), "linear", ALPHA_PRIME)

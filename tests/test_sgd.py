@@ -48,7 +48,7 @@ def grounding_with_every_edge_kind(rng, w, fn):
         # the walk must leave a node with a clamped restart before the
         # last step, or the clamp's share of the gradient is zero
         if lg.usable and V[:-1, ng.src[info["clamped"]]].any():
-            assert ng.implicit_mask.sum() == len(dangling)
+            assert ng.num_edges - g.num_edges == len(dangling)
             return lg
 
 
