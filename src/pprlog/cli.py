@@ -29,7 +29,7 @@ from .grounder import GroundingParams, approximate_ground, ground_full
 from .inference import auc, average_precision, extract_answers, power_iterate
 from .learner import (SgdConfig, TrainingExample, ground_examples,
                       label_grounding, train_on_groundings)
-from .parser import parse_atom, parse_program
+from .parser import ParseError, parse_atom, parse_program
 from .weights import (WEIGHT_FNS, ParameterVector, load_params, save_params)
 
 
@@ -60,8 +60,18 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _atom(text: str, where: str):
+    """``parse_atom(text)`` for a field of an input line ``where``."""
+    try:
+        return parse_atom(text)
+    except ParseError as e:
+        raise ValueError(f"{where}: {text!r} column {e.col}: {e.message}"
+                         ) from None
+
+
 def _read_queries(path: str):
-    return [parse_atom(line.strip()) for line in Path(path).read_text().splitlines()
+    return [_atom(line.strip(), f"{path} line {lineno}") for lineno, line
+            in enumerate(Path(path).read_text().splitlines(), 1)
             if line.strip() and not line.lstrip().startswith("%")]
 
 
@@ -70,14 +80,15 @@ def _read_examples(path: str):
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path} line {lineno}"
         query, *labels = line.split("\t")
         for f in labels:
             if f[:1] not in ("+", "-"):
-                raise ValueError(f"{path} line {lineno}: label {f!r} does "
-                                 f"not start with + or -")
-        pos = tuple(repr(parse_atom(f[1:])) for f in labels if f[0] == "+")
-        neg = tuple(repr(parse_atom(f[1:])) for f in labels if f[0] == "-")
-        examples.append(TrainingExample(parse_atom(query), pos, neg))
+                raise ValueError(f"{where}: label {f!r} does not start "
+                                 f"with + or -")
+        pos = tuple(repr(_atom(f[1:], where)) for f in labels if f[0] == "+")
+        neg = tuple(repr(_atom(f[1:], where)) for f in labels if f[0] == "-")
+        examples.append(TrainingExample(_atom(query, where), pos, neg))
     if not examples:
         raise ValueError(f"{path} has no examples")
     return examples
@@ -183,8 +194,12 @@ def _read_answers(path: str):
             raise ValueError(f"{path} line {lineno}: an answer before any "
                              f"query line")
         else:
-            prob, answer = rest.split("\t")
-            scores[answer] = float(prob)
+            try:
+                prob, answer = rest.split("\t")
+                scores[answer] = float(prob)
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: expected rank<TAB>"
+                                 f"probability<TAB>answer") from None
     return per_query
 
 

@@ -10,7 +10,9 @@ reachable proof space up to a step horizon.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Optional
 
 from .facts import FactStore
@@ -101,6 +103,32 @@ def _state(query, subgoals, m: dict[int, int]) -> ProofNode:
                       tuple([tuple(map(get, a, a)) for a in subgoals])))
 
 
+def _row_template(query, rest, goal: IntAtom):
+    """``row -> _state(query, rest, m)`` for the rows matching a database
+    goal, ``m`` binding the goal's variables to the row and renaming the
+    other variables alike for every row.  Each atom is one ``itemgetter``
+    over ``row + fixed``; an atom free of goal variables is one value."""
+    m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
+    column = {a: i for i, a in enumerate(goal[1:]) if a < 0}
+    # fixed value -> its index in row + fixed
+    slots: dict = defaultdict(lambda: len(goal) - 1 + len(slots))
+
+    def getter(atom):
+        if column.keys().isdisjoint(atom):  # keeps arity-0 atoms tuples
+            return itemgetter(slots[tuple(map(m.get, atom, atom))])
+        return itemgetter(*[column[a] if a in column else slots[m.get(a, a)]
+                            for a in atom])
+
+    qget, rget = [getter(a) for a in query], [getter(a) for a in rest]
+    fixed = tuple(slots)
+
+    def child(row) -> ProofNode:
+        src = row + fixed
+        return ProofNode((tuple([g(src) for g in qget]),
+                          tuple([g(src) for g in rget])))
+    return child
+
+
 def make_node(query: tuple[Atom, ...], subgoals: tuple[Atom, ...]) -> ProofNode:
     """Canonicalize variables jointly so alpha-equivalent states merge."""
     query = [encode(a) for a in query]
@@ -159,6 +187,13 @@ class Prover:
             intern(pred): [(c, encode(c.head), tuple(map(encode, c.body)),
                             tuple(map(encode, c.features))) for c in clauses]
             for pred, clauses in program.by_pred.items()}
+        # (rule predicate, head length) -> its clause bodies, for the
+        # predicates whose clause heads are all distinct variables
+        self._open_heads = {
+            (pred, len(cs[0][1])): tuple(body for _, _, body, _ in cs)
+            for pred, cs in self._clauses.items()
+            if all(len(set(h)) == len(h) and max(h[1:], default=-1) < 0
+                   for _, h, _, _ in cs)}
         self._apart: dict[tuple[int, int], list] = {}
         self._feature_names: dict[IntAtom, str] = {}
 
@@ -201,48 +236,37 @@ class Prover:
         One successor per applicable clause mgu on the leftmost subgoal,
         or one per database match.  Parallel edges with identical feature
         vectors are merged by summing feature values (a merged multiplicity
-        of m scales each value by m).
+        of m scales each value by m).  Successors may share one feature
+        dict, which callers must not mutate.
         """
         if node.is_solution:
             raise ValueError("solution nodes have no subgoals to expand")
         query, subgoals = node
         goal, rest = subgoals[0], subgoals[1:]
-        merged: dict[tuple, list] = {}
-
-        def emit(child: ProofNode, phi: FeatureVector):
-            key = (child, tuple(sorted(phi.items())))
-            merged.setdefault(key, [child, phi, 0])[2] += 1
-
         if goal[0] in self.store.tuples:
-            # A match binds every goal variable, so the other variables
-            # are renamed alike for every row.
-            m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
-            args = goal[1:]
-            for row in self.store.match(goal):
-                m.update(zip(args, row))
-                emit(_state(query, rest, m), {DB_FEATURE: 1.0})
-        else:
-            n = _num_vars(node)
-            for clause, head, body, features in self._clauses_apart(goal[0],
-                                                                    n):
-                sigma = _unify(goal, head)
-                if sigma is None:
-                    continue
-                child = _state(query, (*body, *rest),
-                               _renaming((*query, *body, *rest), sigma))
-                phi: FeatureVector = {}
-                for feat in features:
-                    name = self._feature_name(tuple(map(sigma.get, feat, feat)),
-                                              clause, goal, n)
-                    phi[name] = phi.get(name, 0.0) + 1.0
-                emit(child, phi)
-
-        out = []
-        for child, phi, mult in merged.values():
-            if mult > 1:
-                phi = {k: v * mult for k, v in phi.items()}
-            out.append((child, phi))
-        return out
+            # every match has the features {db: 1.0}: children merge by state
+            counts = Counter(map(_row_template(query, rest, goal),
+                                 self.store.match(goal)))
+            once = {DB_FEATURE: 1.0}
+            return [(child, once if k == 1 else {DB_FEATURE: float(k)})
+                    for child, k in counts.items()]
+        merged: dict[tuple, list] = {}
+        n = _num_vars(node)
+        for clause, head, body, features in self._clauses_apart(goal[0], n):
+            sigma = _unify(goal, head)
+            if sigma is None:
+                continue
+            child = _state(query, (*body, *rest),
+                           _renaming((*query, *body, *rest), sigma))
+            phi: FeatureVector = {}
+            for feat in features:
+                name = self._feature_name(tuple(map(sigma.get, feat, feat)),
+                                          clause, goal, n)
+                phi[name] = phi.get(name, 0.0) + 1.0
+            merged.setdefault((child, tuple(sorted(phi.items()))),
+                              [child, phi, 0])[2] += 1
+        return [(child, {k: v * mult for k, v in phi.items()} if mult > 1
+                 else phi) for child, phi, mult in merged.values()]
 
     def restart_features(self, node: ProofNode, alpha: float) -> FeatureVector:
         """Restart-edge features for a non-solution node.
@@ -273,7 +297,8 @@ class Prover:
         some clause head unifies and no child can be the start state.  A
         child has the start's single subgoal only if a body-less clause
         leaves a lone remaining subgoal, so it cannot when every unifying
-        clause has a body or that subgoal differs from the start's.
+        clause has a body or that subgoal differs from the start's.  Heads
+        of distinct variables all unify, so a table gives their bodies.
         """
         query, subgoals = node
         if len(subgoals) < 2:
@@ -288,9 +313,11 @@ class Prover:
                 return None
             count = self.store.binding_count(goal)
             return count if lone_like_start else count + 1
-        bodies = [body for _, head, body, _ in
-                  self._clauses_apart(goal[0], _num_vars(node))
-                  if _unify(goal, head) is not None]
+        bodies = self._open_heads.get((goal[0], len(goal)))
+        if bodies is None:
+            bodies = [body for _, head, body, _ in
+                      self._clauses_apart(goal[0], _num_vars(node))
+                      if _unify(goal, head) is not None]
         if not bodies or (lone_like_start and not all(bodies)):
             return None
         return 2
@@ -314,7 +341,9 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
     falls below alpha_prime.  Returns a list of (target, probability,
     phi) summing to 1, the restart last.
     """
-    raws = [edge_weight(fn, w, phi) for _, phi in successors]
+    by_id = {id(phi): phi for _, phi in successors}  # shared phis weigh once
+    raw_of = {k: edge_weight(fn, w, phi) for k, phi in by_id.items()}
+    raws = [raw_of[id(phi)] for _, phi in successors]
     s = sum(raws)
     r0 = max(edge_weight(fn, w, restart_phi),
              alpha_prime * s / (1.0 - alpha_prime))

@@ -22,6 +22,7 @@ from .terms import Atom, Const, Term, Var
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -5,6 +5,9 @@ The oracle builds the dense transition matrix straight from the edge
 feature vectors (its own weighting, flooring, and normalization code) and
 solves the stationary linear system; it never touches NumericGraph or the
 kernels it is used to check.
+
+Hypothesis runs derandomized, so every run of the suite tries the same
+examples.
 """
 
 import math
@@ -12,10 +15,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pprlog.facts import load_facts
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
 from pprlog.parser import parse_program
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 TABLE_PROGRAM = """\
 about(X,Z) :- handLabeled(X,Z)    # base.

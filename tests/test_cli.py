@@ -306,3 +306,34 @@ def test_eval_refuses_empty_labels(tmp_path, capsys):
                 "--labels", tmp_path / "labels.tsv"]) != 0
     err = one_error_line(capsys)
     assert str(tmp_path / "labels.tsv") in err and "no examples" in err
+
+
+@pytest.mark.parametrize("bad", ["1\t0.4", "1\tx\tq(a,n1)"])
+def test_eval_refuses_bad_rank_line(tmp_path, capsys, bad):
+    # too few fields, or a probability that is not a number
+    (tmp_path / "answers.tsv").write_text(f"query\tq(a,X)\n1\t0.4\tq(a,p1)\n"
+                                          f"{bad}\n")
+    (tmp_path / "labels.tsv").write_text("q(a,X)\t+q(a,p1)\t-q(a,n1)\n")
+    assert run(["eval", "--answers", tmp_path / "answers.tsv",
+                "--labels", tmp_path / "labels.tsv"]) != 0
+    err = one_error_line(capsys)
+    assert f"{tmp_path / 'answers.tsv'} line 3: " in err
+
+
+def test_answer_refuses_unparsable_query(workspace, capsys):
+    bad = workspace / "bad_queries.txt"
+    bad.write_text("about(a,Z)\nabout(b,\n")
+    assert run(["answer", *common(workspace), "--queries", bad]) != 0
+    err = one_error_line(capsys)
+    assert f"{bad} line 2: 'about(b,' column 9: " in err
+
+
+def test_eval_refuses_unparsable_example_atom(tmp_path, capsys):
+    (tmp_path / "answers.tsv").write_text("query\tq(a,X)\n1\t0.4\tq(a,p1)\n")
+    (tmp_path / "labels.tsv").write_text("q(b,X)\t+q(b,p1)\n"
+                                         "q(a,X\t+q(a,p1)\n")
+    assert run(["eval", "--answers", tmp_path / "answers.tsv",
+                "--labels", tmp_path / "labels.tsv"]) != 0
+    err = one_error_line(capsys)
+    assert f"{tmp_path / 'labels.tsv'} line 2: 'q(a,X' column 6: " in err
+    assert "line 1" not in err

@@ -4,12 +4,13 @@ import pytest
 
 from pprlog import grounder
 from pprlog.facts import load_facts
-from pprlog.graph import RESTART_FEATURE, serialize
+from pprlog.graph import DB_FEATURE, RESTART_FEATURE, serialize
 from pprlog.grounder import (BudgetError, GroundingError, GroundingParams,
                              Prover, approximate_ground, ground_full,
                              make_node, start_node, transition_distribution)
 from pprlog.inference import power_iterate
 from pprlog.parser import parse_atom, parse_program
+from pprlog.terms import SYMBOLS
 from pprlog.weights import EXP, LINEAR, ParameterVector
 
 
@@ -142,6 +143,37 @@ def test_transition_dead_end_is_restart_only():
                                    ParameterVector(), LINEAR, 0.1,
                                    restart_target="v0")
     assert [(t, p) for t, p, _ in dist] == [("v0", pytest.approx(1.0))]
+
+
+@pytest.mark.parametrize("fn", [LINEAR, EXP])
+def test_transition_shared_phi_weighs_as_copies(fn):
+    # successors that share one feature dict get the triples that equal
+    # copies get, bit for bit
+    w = ParameterVector({"db": 0.37, "f": -0.21, RESTART_FEATURE: 1.3})
+    shared, other = {"db": 1.0, "f": 0.7}, {"f": 2.0}
+    phis = [shared, other, shared, shared, other]
+    succ = [(f"s{i}", phi) for i, phi in enumerate(phis)]
+    copies = [(t, dict(phi)) for t, phi in succ]
+    dist = transition_distribution(succ, {RESTART_FEATURE: 0.5}, w, fn, 0.1,
+                                   restart_target="v0")
+    assert dist == transition_distribution(copies, {RESTART_FEATURE: 0.5},
+                                           w, fn, 0.1, restart_target="v0")
+    assert len({p for _, p, _ in dist}) == 3   # the phis weigh apart
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_grounded_db_fan_out_edges_own_their_features(full, hyperlink_program,
+                                                      hyperlink_store):
+    # the prover gives a fan-out's edges one shared dict; the graph copies
+    query, params = parse_atom("links(X,Y)"), GroundingParams(max_T=2)
+    g = (ground_full(query, hyperlink_program, hyperlink_store, params)
+         if full else approximate_ground(query, hyperlink_program,
+                                         hyperlink_store, params,
+                                         ParameterVector(), LINEAR)[0])
+    fan_out = [e for e in g.edges if e.src == g.start and DB_FEATURE in e.phi]
+    assert len(fan_out) == 3 and fan_out[0].phi is not fan_out[1].phi
+    fan_out[0].phi[DB_FEATURE] = 5.0
+    assert fan_out[1].phi == {DB_FEATURE: 1.0}
 
 
 def test_transition_nonpositive_weight_rejected():
@@ -279,10 +311,16 @@ def test_ground_full_unknown_predicate(hyperlink_program, hyperlink_store):
     ("p(a)", "u(X),p(a)", None),
     # no clause head unifies
     ("p(a)", "u(a),p(b)", None),
+    # heads with a repeated variable or a constant: unified clause by clause
+    ("p(a)", "v(b,b),p(b)", 2),
+    ("p(a)", "v(a,b),p(b)", None),
+    ("p(a)", "k(b,a),p(b)", 2),
+    ("p(a)", "k(b,b),p(b)", None),
 ])
 def test_degree_lower_bound_cases(query, subgoals, bound):
     program = parse_program("p(X) :- q(X,Y),r(Y).\nr(X) :- s(X).\n"
-                            "t(X) :- true.\nu(b) :- true.")
+                            "t(X) :- true.\nu(b) :- true.\n"
+                            "v(X,X) :- true.\nk(X,a) :- s(X).")
     store = load_facts("q\ta\tb\nq\ta\tc\nq\ta\td\ns\ta")
     prover = Prover(program, store)
     start = start_node(parse_atom("p(a)"))
@@ -290,6 +328,11 @@ def test_degree_lower_bound_cases(query, subgoals, bound):
     atoms = parse_program(f"x :- {','.join(filter(None, (query, subgoals)))}."
                           ).clauses[0].body
     node = make_node(atoms[:1], atoms[1:])
+    assert prover.degree_lower_bound(node, start) == bound
+    # the predicates whose heads are distinct variables skip _unify, and
+    # unifying every head gives the same bound
+    assert {SYMBOLS[p] for p, _ in prover._open_heads} == {"p", "r", "t"}
+    prover._open_heads.clear()
     assert prover.degree_lower_bound(node, start) == bound
     if bound is not None:
         targets = {child for child, _ in prover.expand(node)} | {start}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from atom_unify import apply, canonicalize, rename_atoms, unify
 from test_push import CASE_IDS, GROUNDING_CASES
@@ -20,10 +21,12 @@ from pprlog import grounder
 from pprlog.facts import load_facts
 from pprlog.graph import (DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE,
                           serialize)
-from pprlog.grounder import (GroundingParams, Prover, approximate_ground,
+from pprlog.grounder import (GroundingParams, Prover, _renaming,
+                             _row_template, _state, approximate_ground,
                              ground_full, make_node, transition_distribution)
 from pprlog.parser import parse_atom, parse_program
-from pprlog.terms import SYMBOLS, Atom, Const, Var, decode, variables_of
+from pprlog.terms import (SYMBOLS, Atom, Const, Var, decode, intern,
+                          variables_of)
 from pprlog.weights import LINEAR, ParameterVector
 
 
@@ -163,3 +166,56 @@ def test_prover_matches_atom_reference(case, monkeypatch):
         assert serialize(ground_full(q, program, store, full_params, w,
                                      LINEAR)) == serialize(full)
     assert len(checked) > 5
+
+
+# Int-coded atoms over three predicates, three constants and variables
+# -1..-5; an atom with no arguments has arity zero.
+P, Q, R, A, B, C = map(intern, ("tp", "tq", "tr", "ta", "tb", "tc"))
+TERMS = st.sampled_from([A, B, C, -1, -2, -3, -4, -5])
+ATOMS = st.builds(lambda pred, args: (pred, *args), st.sampled_from([P, Q, R]),
+                  st.lists(TERMS, max_size=3))
+
+
+def row_of(goal, values):
+    """The row matching ``goal`` that binds variable -1-i to values[i]."""
+    return tuple(a if a >= 0 else values[-1 - a] for a in goal[1:])
+
+
+@given(query=st.lists(ATOMS, min_size=1, max_size=2),
+       rest=st.lists(ATOMS, max_size=3), goal=ATOMS,
+       values=st.lists(st.lists(st.sampled_from([A, B, C]), min_size=5,
+                                max_size=5), max_size=4))
+# zero-arity atoms in the query and in the remaining subgoals
+@example(query=[(P,)], rest=[(Q,), (R, -1)], goal=(P, -1),
+         values=[[A] * 5, [B] * 5])
+# constants and repeated variables in the goal
+@example(query=[(P, -1, -2)], rest=[(Q, -2, -3)], goal=(R, A, -1, -1),
+         values=[[A, B, C, A, B], [C, A, B, C, A]])
+# -3 occurs only in the goal, so the two rows give one child twice
+@example(query=[(P, -1)], rest=[(Q, -1, -2)], goal=(R, -1, -3),
+         values=[[A, B, A, A, A], [A, B, B, A, A]])
+def test_row_template_matches_state_per_row(query, rest, goal, values):
+    query, rest = tuple(query), tuple(rest)
+    rows = [row_of(goal, v) for v in values]
+    # the path the template replaces: m updated per row, then _state
+    m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
+    expected = []
+    for row in rows:
+        m.update(zip(goal[1:], row))
+        expected.append(_state(query, rest, m))
+    template = _row_template(query, rest, goal)
+    assert [template(row) for row in rows] == expected
+
+
+def test_database_fan_out_merges_and_shares_features():
+    program = parse_program("p(X) :- e(X,Y),r(Y).\nr(X) :- s(X).")
+    prover = Prover(program, load_facts("e\ta\ta\ne\ta\tb\ns\ta"))
+    # Y occurs only in the goal: both matches give <p(a) | r(a)>
+    [(child, phi)] = prover.expand(make_node((parse_atom("p(a)"),),
+                                             (parse_atom("e(a,Y)"),
+                                              parse_atom("r(a)"))))
+    assert repr(child) == "<p(a) | r(a)>" and phi == {DB_FEATURE: 2.0}
+    succ = prover.expand(make_node((parse_atom("p(a)"),),
+                                   (parse_atom("e(a,Y)"), parse_atom("r(Y)"))))
+    assert [repr(c) for c, _ in succ] == ["<p(a) | r(a)>", "<p(a) | r(b)>"]
+    assert succ[0][1] is succ[1][1] and succ[0][1] == {DB_FEATURE: 1.0}
