@@ -76,6 +76,7 @@ def _read_queries(path: str):
 
 
 def _read_examples(path: str):
+    """The examples of a labeled examples file, each with its line number."""
     examples = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
@@ -88,7 +89,8 @@ def _read_examples(path: str):
                                  f"with + or -")
         pos = tuple(repr(_atom(f[1:], where)) for f in labels if f[0] == "+")
         neg = tuple(repr(_atom(f[1:], where)) for f in labels if f[0] == "-")
-        examples.append(TrainingExample(_atom(query, where), pos, neg))
+        examples.append((lineno, TrainingExample(_atom(query, where), pos,
+                                                 neg)))
     if not examples:
         raise ValueError(f"{path} has no examples")
     return examples
@@ -131,9 +133,8 @@ def cmd_answer(args) -> int:
 
 def cmd_ground(args) -> int:
     program, store, params, w, fn = _setup(args)
-    examples = _read_examples(args.train)
     records = []
-    for ex in examples:
+    for _, ex in _read_examples(args.train):
         g, _, _ = approximate_ground(ex.query, program, store, params, w, fn)
         lg = label_grounding(ex, g)
         if not (lg.pos_nodes or lg.neg_nodes):
@@ -146,7 +147,8 @@ def cmd_ground(args) -> int:
 
 def cmd_train(args) -> int:
     program, store, params, w, fn = _setup(args)
-    examples = _read_examples(args.train)
+    numbered = _read_examples(args.train)
+    examples = [ex for _, ex in numbered]
     cfg = SgdConfig(mu=args.mu, eta=args.eta, epochs=args.epochs,
                     loss=args.loss)
     if args.groundings:
@@ -155,6 +157,12 @@ def cmd_train(args) -> int:
             print(f"error\t{len(graphs)} groundings for "
                   f"{len(examples)} examples", file=sys.stderr)
             return 2
+        for i, ((lineno, ex), g) in enumerate(zip(numbered, graphs), 1):
+            if g.query != repr(ex.query):
+                print(f"error\t{args.groundings} record {i}: query {g.query} "
+                      f"does not match {args.train} line {lineno} "
+                      f"{ex.query!r}", file=sys.stderr)
+                return 2
         groundings = [label_grounding(ex, g)
                       for ex, g in zip(examples, graphs)]
     else:
@@ -205,7 +213,7 @@ def _read_answers(path: str):
 
 def cmd_eval(args) -> int:
     per_query = _read_answers(args.answers)
-    examples = _read_examples(args.labels)
+    examples = [ex for _, ex in _read_examples(args.labels)]
     lines = []
     maps = []
     wins = pairs = 0.0

@@ -10,7 +10,9 @@ gradient propagation) can run over plain numpy buffers.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,13 +39,29 @@ class Edge(NamedTuple):
 
 @dataclass
 class GroundedGraph:
+    """Nodes, solutions and edges of one grounding.
+
+    Edges are three int columns in insertion order: ``src``, ``dst`` and
+    ``phi_id``, an index into ``phis``, the graph's table of distinct
+    feature vectors.  ``phis`` holds each vector once as a tuple of
+    (name, value) items, numbered in first-use order; two vectors share
+    an entry only if they print alike, names in the same order.
+    ``edges`` gives the same edges as a tuple of ``Edge``, each with a
+    fresh dict, so nothing done to it reaches the table.
+    """
     nodes: list = field(default_factory=list)   # payloads; index == node id
-    edges: list[Edge] = field(default_factory=list)
     start: int = 0
     solutions: dict[int, str] = field(default_factory=dict)  # id -> answer
     query: str = ""
     labels: dict[int, bool] = field(default_factory=dict)    # id -> is positive
     depths: dict[int, int] = field(default_factory=dict)     # id -> SLD depth
+    src: array = field(default_factory=partial(array, "q"), init=False)
+    dst: array = field(default_factory=partial(array, "q"), init=False)
+    phi_id: array = field(default_factory=partial(array, "q"), init=False)
+    phis: list[tuple] = field(default_factory=list, init=False)
+    # repr(phi) -> its index in phis
+    _phi_index: dict[str, int] = field(default_factory=dict, init=False,
+                                       repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -51,14 +69,39 @@ class GroundedGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        phis = self.phis
+        return tuple(Edge(u, v, dict(phis[k]))
+                     for u, v, k in zip(self.src, self.dst, self.phi_id))
 
     def add_node(self, payload=None) -> int:
         self.nodes.append(payload)
         return len(self.nodes) - 1
 
     def add_edge(self, src: int, dst: int, phi: FeatureVector):
-        self.edges.append(Edge(src, dst, dict(phi)))
+        self.src.append(src)
+        self.dst.append(dst)
+        self.phi_id.append(self._intern(phi))
+
+    def _intern(self, phi: FeatureVector) -> int:
+        """The index of ``phi`` in ``phis``, adding it if it is new.  The
+        key is the dict's repr, so 1 and 1.0, or 0.0 and -0.0, differ."""
+        key = repr(phi)
+        k = self._phi_index.get(key)
+        if k is None:
+            k = self._phi_index[key] = len(self.phis)
+            self.phis.append(tuple(phi.items()))
+        return k
+
+
+def _restart_edges(g: GroundedGraph, phi_id: np.ndarray) -> np.ndarray:
+    """Whether each edge of ``g`` (phi_id: its ``phi_id`` column) carries
+    RESTART_FEATURE, from one test per table entry."""
+    return np.array([RESTART_FEATURE in dict(items) for items in g.phis],
+                    dtype=bool)[phi_id]
 
 
 class NumericGraph:
@@ -69,35 +112,43 @@ class NumericGraph:
     frontier nodes of a grounding) are given a featureless restart to the
     start node: as the node's only edge it has probability raw/raw = 1,
     and it passes no gradient.  The feature vectors are flattened
-    into (edge, feature, value) triples ``ef_edge``/``ef_feat``/``ef_val``.
+    into (edge, feature, value) triples ``ef_edge``/``ef_feat``/``ef_val``:
+    each entry of the graph's feature-vector table is flattened once,
+    and each edge gathers its entry's run.  ``feat_names`` lists the
+    feature names in the order the edges first use them.
     """
 
     def __init__(self, g: GroundedGraph):
         self.n = g.num_nodes
         self.start = g.start
-        edges = g.edges
-        m = len(edges)
+        m = g.num_edges
         index: dict[str, int] = {}   # feature name -> id, in first-seen order
-        self.ef_feat = np.fromiter((index.setdefault(name, len(index))
-                                    for e in edges for name in e.phi),
-                                   dtype=np.int64)
+        run_feat = [index.setdefault(name, len(index))
+                    for items in g.phis for name, _ in items]
         self.feat_names = list(index)
-        self.ef_val = np.fromiter((val for e in edges
-                                   for val in e.phi.values()),
-                                  dtype=np.float64, count=len(self.ef_feat))
-        num_feats = np.fromiter((len(e.phi) for e in edges), dtype=np.int64,
-                                count=m)
+        run_val = np.array([val for items in g.phis for _, val in items],
+                           dtype=np.float64)
+        run_len = np.array([len(items) for items in g.phis], dtype=np.int64)
+        phi_id = np.array(g.phi_id, dtype=np.int64)
+        # ef_ entries: each edge's table run, in edge order
+        num_feats = run_len[phi_id]
         edge_of = np.repeat(np.arange(m), num_feats)  # edge of each ef_ entry
-        src = np.fromiter((e.src for e in edges), dtype=np.int64, count=m)
-        dst = np.fromiter((e.dst for e in edges), dtype=np.int64, count=m)
+        first = np.cumsum(num_feats) - num_feats      # each edge's first entry
+        run_first = np.cumsum(run_len) - run_len      # each run's first item
+        item = np.arange(len(edge_of)) + np.repeat(run_first[phi_id] - first,
+                                                   num_feats)
+        self.ef_feat = np.array(run_feat, dtype=np.int64)[item]
+        self.ef_val = run_val[item]
+        src = np.array(g.src, dtype=np.int64)
+        dst = np.array(g.dst, dtype=np.int64)
 
         has_out = np.zeros(self.n, dtype=bool)
         has_out[src] = True
         dangling = np.flatnonzero(~has_out)
         src = np.concatenate([src, dangling])
         # restarts: the edges carrying RESTART_FEATURE and the appended ones
-        restart = np.arange(len(src)) >= m
-        restart[edge_of[self.ef_feat == index.get(RESTART_FEATURE, -1)]] = True
+        restart = np.concatenate([_restart_edges(g, phi_id),
+                                  np.ones(len(dangling), dtype=bool)])
         order = np.argsort(src, kind="stable")
         self.src = src[order]
         self.dst = np.concatenate([dst, np.full(len(dangling), g.start)])[order]
@@ -173,7 +224,7 @@ def _split_features(text: str) -> list[str]:
 def _check_feature_names(g: GroundedGraph):
     """Raise ValueError for a feature name of ``g`` that a record would
     read back as another name."""
-    for name in dict.fromkeys(name for e in g.edges for name in e.phi):
+    for name in dict.fromkeys(name for items in g.phis for name, _ in items):
         if ("\t" in name or "\n" in name
                 or _split_features(name + "=0,x") != [name + "=0", "x"]):
             raise ValueError(f"feature {name!r} of {g.query!r} cannot be "
@@ -185,19 +236,27 @@ def serialize(g: GroundedGraph) -> str:
 
     Format: header ``query<TAB>start<TAB>num_nodes<TAB>num_edges``, then
     ``sol`` lines (with an optional +/- label column when labels are
-    known), then ``edge`` lines sorted by (src, dst).  Raises ValueError
+    known), then ``edge`` lines sorted by (src, dst), a node's restart
+    after its other edges to the same node.  Each edge line ends with its
+    features as ``name=value`` pairs sorted by name.  Raises ValueError
     for a feature name that would read back as another name.
     """
     _check_feature_names(g)
+    feats = [",".join(f"{name}={val!r}" for name, val in sorted(items))
+             for items in g.phis]
+    src = np.array(g.src, dtype=np.int64)
+    dst = np.array(g.dst, dtype=np.int64)
+    phi_id = np.array(g.phi_id, dtype=np.int64)
+    order = np.lexsort((_restart_edges(g, phi_id), dst, src))   # stable
     lines = [f"{g.query}\t{g.start}\t{g.num_nodes}\t{g.num_edges}"]
     for nid in sorted(g.solutions):
         row = f"sol\t{nid}\t{g.solutions[nid]}"
         if nid in g.labels:
             row += "\t" + ("+" if g.labels[nid] else "-")
         lines.append(row)
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst, e.is_restart)):
-        feats = ",".join(f"{name}={val!r}" for name, val in sorted(e.phi.items()))
-        lines.append(f"edge\t{e.src}\t{e.dst}\t{feats}")
+    lines += [f"edge\t{u}\t{v}\t{feats[k]}" for u, v, k in
+              zip(src[order].tolist(), dst[order].tolist(),
+                  phi_id[order].tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +293,19 @@ def _read_record(lines: list[str]) -> GroundedGraph:
             raise bad(f"node id {nid} outside [0, {n})")
         return nid
 
+    def phi_of(text: str) -> FeatureVector:
+        phi: FeatureVector = {}
+        for item in _split_features(text):
+            if not item:
+                continue
+            name, _, val = item.rpartition("=")
+            if not name:
+                raise bad(f"feature {item!r} without a name")
+            phi[name] = number(val, float)
+        return phi
+
     g = GroundedGraph([None] * n, query=query, start=node_id(header[1]))
+    phi_ids: dict[str, int] = {}   # feature text -> its entry in g.phis
     for line in lines[1:]:
         kind, *fields = line.split("\t")
         if kind == "sol" and len(fields) in (2, 3):
@@ -245,15 +316,13 @@ def _read_record(lines: list[str]) -> GroundedGraph:
                     raise bad(f"label {fields[2]!r}, not + or -")
                 g.labels[nid] = fields[2] == "+"
         elif kind == "edge" and len(fields) == 3:
-            phi: FeatureVector = {}
-            for item in _split_features(fields[2]):
-                if not item:
-                    continue
-                name, _, val = item.rpartition("=")
-                if not name:
-                    raise bad(f"feature {item!r} without a name")
-                phi[name] = number(val, float)
-            g.add_edge(node_id(fields[0]), node_id(fields[1]), phi)
+            k = phi_ids.get(fields[2])
+            if k is None:
+                k = phi_ids[fields[2]] = g._intern(phi_of(fields[2]))
+            u, v = node_id(fields[0]), node_id(fields[1])
+            g.src.append(u)
+            g.dst.append(v)
+            g.phi_id.append(k)
         elif kind in ("sol", "edge"):
             raise bad(f"a {kind} line of {len(fields) + 1} fields: {line!r}")
         else:

@@ -10,7 +10,7 @@ reachable proof space up to a step horizon.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Hashable, Optional
@@ -110,13 +110,15 @@ def _row_template(query, rest, goal: IntAtom):
     over ``row + fixed``; an atom free of goal variables is one value."""
     m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
     column = {a: i for i, a in enumerate(goal[1:]) if a < 0}
-    # fixed value -> its index in row + fixed
-    slots: dict = defaultdict(lambda: len(goal) - 1 + len(slots))
+    slots: dict = {}   # fixed value -> its index in row + fixed
+
+    def slot(value) -> int:
+        return slots.setdefault(value, len(goal) - 1 + len(slots))
 
     def getter(atom):
         if column.keys().isdisjoint(atom):  # keeps arity-0 atoms tuples
-            return itemgetter(slots[tuple(map(m.get, atom, atom))])
-        return itemgetter(*[column[a] if a in column else slots[m.get(a, a)]
+            return itemgetter(slot(tuple(map(m.get, atom, atom))))
+        return itemgetter(*[column[a] if a in column else slot(m.get(a, a))
                             for a in atom])
 
     qget, rget = [getter(a) for a in query], [getter(a) for a in rest]

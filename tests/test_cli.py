@@ -89,6 +89,23 @@ def test_ground_then_train_round_trip(workspace):
         assert w1[name] == pytest.approx(w2[name], abs=1e-9)
 
 
+def test_train_refuses_groundings_of_other_queries(workspace, capsys):
+    # records pair with examples by position, so each must hold its
+    # example's query
+    groundings = workspace / "graphs.tsv"
+    assert run(["ground", *common(workspace), "--train",
+                workspace / "train.tsv", "--out", groundings]) == 0
+    first, second = (workspace / "train.tsv").read_text().splitlines()
+    swapped = workspace / "swapped.tsv"
+    swapped.write_text(f"\n{second}\n{first}\n")
+    capsys.readouterr()
+    assert run(["train", *common(workspace), "--train", swapped,
+                "--groundings", groundings]) == 2
+    assert capsys.readouterr().err == (
+        f"error\t{groundings} record 1: query about(a,X) does not match "
+        f"{swapped} line 2 about(b,X)\n")
+
+
 def test_train_then_answer_with_learned_params(workspace):
     params = workspace / "params.tsv"
     run(["train", *common(workspace), "--train", workspace / "train.tsv",

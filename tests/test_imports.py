@@ -1,7 +1,8 @@
 """No module imports a name it never uses.
 
 Scans the syntax trees of the library modules (except ``__init__.py``,
-which imports names to re-export them) and of the test modules.
+which imports names to re-export them), of the test modules and of the
+benchmark's modules and tests.
 """
 
 import ast
@@ -10,7 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([p for p in (ROOT / "src" / "pprlog").glob("*.py")
                 if p.name != "__init__.py"]
-               + list((ROOT / "tests").glob("*.py")))
+               + list((ROOT / "tests").glob("*.py"))
+               + list((ROOT / "perfbench").glob("*.py"))
+               + list((ROOT / "perfbench" / "tests").glob("*.py")))
 
 
 def unused_imports(path: Path) -> list[str]:

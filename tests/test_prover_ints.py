@@ -9,6 +9,7 @@ byte for byte, and at every state it expands ``Prover.expand`` must give
 the same children, feature vectors and order.
 """
 
+import gc
 from dataclasses import dataclass
 from functools import partial
 
@@ -219,3 +220,20 @@ def test_database_fan_out_merges_and_shares_features():
                                    (parse_atom("e(a,Y)"), parse_atom("r(Y)"))))
     assert [repr(c) for c, _ in succ] == ["<p(a) | r(a)>", "<p(a) | r(b)>"]
     assert succ[0][1] is succ[1][1] and succ[0][1] == {DB_FEATURE: 1.0}
+
+
+def test_database_expansion_leaves_no_reference_cycle():
+    # the row template and its table of fixed values go with their last
+    # reference, not at the next run of the cyclic collector
+    program = parse_program("p(X) :- e(X,Y),r(Y).\nr(X) :- s(X).")
+    prover = Prover(program, load_facts("e\ta\ta\ne\ta\tb\ns\ta"))
+    node = make_node((parse_atom("p(a)"),),
+                     (parse_atom("e(a,Y)"), parse_atom("r(Y)")))
+    assert len(prover.expand(node)) == 2   # fills the prover's caches
+    gc.collect()
+    gc.disable()
+    try:
+        prover.expand(node)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grounded_graph
-from pprlog.graph import NumericGraph
+from pprlog.graph import GroundedGraph, NumericGraph
 from pprlog.grounder import GroundingParams
 from pprlog.kernels import walk_history
 from pprlog.learner import (BUILTIN_FEATURES, SgdConfig, TrainingExample,
@@ -38,9 +38,12 @@ def grounding_with_every_edge_kind(rng, w, fn):
     the features.  The solutions with the least walk mass are the
     positives, so the squared hinge is active."""
     while True:
-        g = random_grounded_graph(rng, rng.randint(12, 30))
-        dangling = set(rng.sample(range(1, g.num_nodes), 3))
-        g.edges = [e for e in g.edges if e.src not in dangling]
+        full = random_grounded_graph(rng, rng.randint(12, 30))
+        dangling = set(rng.sample(range(1, full.num_nodes), 3))
+        g = GroundedGraph(full.nodes, solutions=full.solutions)
+        for e in full.edges:
+            if e.src not in dangling:
+                g.add_edge(*e)
         ng = NumericGraph(g)
         prob, info = ng.probabilities(w, fn, ALPHA_PRIME)
         V = walk_history(ng.src, ng.dst, prob, ng.n, ng.start, 8)
