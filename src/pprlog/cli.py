@@ -43,14 +43,18 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--weightfn", choices=sorted(WEIGHT_FNS), default="linear")
 
 
-def _setup(args):
-    program = parse_program(Path(args.rules).read_text())
-    store = load_facts(Path(args.facts).read_text())
+def _weighting(args):
+    """The grounding parameters, weights and weighting function."""
     params = GroundingParams(args.alpha, args.alpha_prime, args.epsilon)
     w = (load_params(Path(args.params_in).read_text())
          if args.params_in else ParameterVector())
-    fn = WEIGHT_FNS[args.weightfn]
-    return program, store, params, w, fn
+    return params, w, WEIGHT_FNS[args.weightfn]
+
+
+def _setup(args):
+    program = parse_program(Path(args.rules).read_text())
+    store = load_facts(Path(args.facts).read_text())
+    return (program, store, *_weighting(args))
 
 
 def _emit(args, text: str):
@@ -146,7 +150,11 @@ def cmd_ground(args) -> int:
 
 
 def cmd_train(args) -> int:
-    program, store, params, w, fn = _setup(args)
+    # records hold their groundings: no rules or facts are read for them
+    if args.groundings:
+        params, w, fn = _weighting(args)
+    else:
+        program, store, params, w, fn = _setup(args)
     numbered = _read_examples(args.train)
     examples = [ex for _, ex in numbered]
     cfg = SgdConfig(mu=args.mu, eta=args.eta, epochs=args.epochs,
@@ -293,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn feature weights")
     _add_common(p)
     p.add_argument("--train", required=True)
-    p.add_argument("--groundings", help="reuse serialized groundings")
+    p.add_argument("--groundings", help="reuse serialized groundings "
+                   "(then --rules and --facts are not read)")
     p.add_argument("--params-out", help="weights file (default stdout)")
     p.add_argument("--seed", type=int, default=0,
                    help="initial weights and example order")

@@ -13,7 +13,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,6 +85,24 @@ class GroundedGraph:
         self.src.append(src)
         self.dst.append(dst)
         self.phi_id.append(self._intern(phi))
+
+    def edge_adder(self) -> Callable[[int, int, FeatureVector], None]:
+        """``add_edge`` for a caller that passes each distinct vector as
+        one dict object: a dict is interned on its first edge, and later
+        edges find its entry by ``id``.  The adder holds every dict it was
+        given, so no ``id`` is reused while it lives; none of them may
+        change meanwhile."""
+        entries: dict[int, tuple[int, FeatureVector]] = {}
+        src, dst, phi_id = self.src.append, self.dst.append, self.phi_id.append
+
+        def add(u: int, v: int, phi: FeatureVector):
+            entry = entries.get(id(phi))
+            if entry is None:
+                entry = entries[id(phi)] = (self._intern(phi), phi)
+            src(u)
+            dst(v)
+            phi_id(entry[0])
+        return add
 
     def _intern(self, phi: FeatureVector) -> int:
         """The index of ``phi`` in ``phis``, adding it if it is new.  The
@@ -238,11 +256,12 @@ def serialize(g: GroundedGraph) -> str:
     ``sol`` lines (with an optional +/- label column when labels are
     known), then ``edge`` lines sorted by (src, dst), a node's restart
     after its other edges to the same node.  Each edge line ends with its
-    features as ``name=value`` pairs sorted by name.  Raises ValueError
+    features as ``name=value`` pairs sorted by name, each value the repr
+    of its float, which ``deserialize`` reads back.  Raises ValueError
     for a feature name that would read back as another name.
     """
     _check_feature_names(g)
-    feats = [",".join(f"{name}={val!r}" for name, val in sorted(items))
+    feats = [",".join(f"{name}={float(val)!r}" for name, val in sorted(items))
              for items in g.phis]
     src = np.array(g.src, dtype=np.int64)
     dst = np.array(g.dst, dtype=np.int64)

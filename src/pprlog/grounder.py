@@ -196,8 +196,30 @@ class Prover:
             for pred, cs in self._clauses.items()
             if all(len(set(h)) == len(h) and max(h[1:], default=-1) < 0
                    for _, h, _, _ in cs)}
+        # The same key -> (clauses, args, vectors) for the predicates whose
+        # clauses also all have empty bodies and features over head
+        # variables only: their ground goals take the unit-rule step.
+        # ``args(goal)`` picks the goal's arguments the features use, and
+        # ``vectors`` maps those to the step's vectors, once worked out.
+        self._units = {}
+        for key, bodies in self._open_heads.items():
+            cs = [(c, h, feats) for c, h, _, feats in self._clauses[key[0]]]
+            used = [h.index(a) if a in h else None for _, h, feats in cs
+                    for feat in feats for a in feat if a < 0]
+            if not any(bodies) and None not in used:
+                self._units[key] = (cs, itemgetter(0, *sorted(set(used))), {})
         self._apart: dict[tuple[int, int], list] = {}
         self._feature_names: dict[IntAtom, str] = {}
+        self._vectors: dict[tuple, FeatureVector] = {}   # items -> its dict
+
+    def vector(self, items: tuple) -> FeatureVector:
+        """The one dict this prover gives out for the feature vector of
+        ``items``, its (name, value) pairs in order.  Callers must not
+        mutate it."""
+        phi = self._vectors.get(items)
+        if phi is None:
+            phi = self._vectors[items] = dict(items)
+        return phi
 
     def _clauses_apart(self, pred: int, n: int) -> list:
         """(clause, head, body, features) for a predicate, with variables
@@ -213,17 +235,18 @@ class Prover:
                 for c, head, body, feats in self._clauses.get(pred, ())]
         return out
 
-    def _feature_name(self, feat: IntAtom, clause: Clause, goal: IntAtom,
-                      n: int) -> str:
+    def _feature_name(self, feat: IntAtom, clause: Clause,
+                      node: ProofNode) -> str:
         name = self._feature_names.get(feat)
         if name is None:
-            if min(feat) < 0:
+            if min(feat) < 0:  # the clause is apart from node's -1..-n
+                n = _num_vars(node)
                 names = {-1 - n - v.id: v.name for v in variables_of(
                     (*clause.atoms(), *clause.features))}
                 raise GroundingError(
                     f"non-ground feature {decode(feat, names)!r} when "
                     f"applying clause {clause.id} ({clause!r}) to "
-                    f"{decode(goal)!r}")
+                    f"{decode(node.subgoals[0])!r}")
             name = repr(decode(feat))
             if name in BUILTIN_FEATURES:
                 raise GroundingError(
@@ -238,8 +261,17 @@ class Prover:
         One successor per applicable clause mgu on the leftmost subgoal,
         or one per database match.  Parallel edges with identical feature
         vectors are merged by summing feature values (a merged multiplicity
-        of m scales each value by m).  Successors may share one feature
-        dict, which callers must not mutate.
+        of m scales each value by m).  Each vector is the prover's one dict
+        for it (see ``vector``), shared by every successor and every call
+        that gives it, so callers must not mutate it.
+
+        A ground goal of a predicate defined only by body-less clauses
+        whose heads are distinct variables and whose features name only
+        head variables (``linkedBy(X,Y,W) :- true # by(W)``) takes the
+        unit-rule step: every clause matches, binding its head to the
+        goal, and leaves the node without the goal.  That node is the one
+        child, canonical as it stands since the goal held no variable, and
+        no unifier or renaming is built.
         """
         if node.is_solution:
             raise ValueError("solution nodes have no subgoals to expand")
@@ -249,26 +281,45 @@ class Prover:
             # every match has the features {db: 1.0}: children merge by state
             counts = Counter(map(_row_template(query, rest, goal),
                                  self.store.match(goal)))
-            once = {DB_FEATURE: 1.0}
-            return [(child, once if k == 1 else {DB_FEATURE: float(k)})
+            once = self.vector(((DB_FEATURE, 1.0),))
+            return [(child, once if k == 1
+                     else self.vector(((DB_FEATURE, float(k)),)))
                     for child, k in counts.items()]
-        merged: dict[tuple, list] = {}
-        n = _num_vars(node)
-        for clause, head, body, features in self._clauses_apart(goal[0], n):
+        unit = self._units.get((goal[0], len(goal)))
+        if unit is not None and min(goal) >= 0:
+            clauses, args, vectors = unit
+            key = args(goal)
+            phis = vectors.get(key)
+            if phis is None:
+                phis = vectors[key] = [phi for _, phi in self._merge(
+                    node, [(None, clause, dict(zip(head, goal)), features)
+                           for clause, head, features in clauses])]
+            child = ProofNode((query, rest))
+            return [(child, phi) for phi in phis]
+        steps = []
+        for clause, head, body, features in self._clauses_apart(
+                goal[0], _num_vars(node)):
             sigma = _unify(goal, head)
-            if sigma is None:
-                continue
-            child = _state(query, (*body, *rest),
-                           _renaming((*query, *body, *rest), sigma))
+            if sigma is not None:
+                steps.append((_state(query, (*body, *rest), _renaming(
+                    (*query, *body, *rest), sigma)), clause, sigma, features))
+        return self._merge(node, steps)
+
+    def _merge(self, node: ProofNode, steps):
+        """(child, phi) for the (child, clause, sigma, features) of each
+        clause applied to ``node``, parallel edges merged."""
+        merged: dict[tuple, list] = {}
+        for child, clause, sigma, features in steps:
             phi: FeatureVector = {}
             for feat in features:
                 name = self._feature_name(tuple(map(sigma.get, feat, feat)),
-                                          clause, goal, n)
+                                          clause, node)
                 phi[name] = phi.get(name, 0.0) + 1.0
             merged.setdefault((child, tuple(sorted(phi.items()))),
                               [child, phi, 0])[2] += 1
-        return [(child, {k: v * mult for k, v in phi.items()} if mult > 1
-                 else phi) for child, phi, mult in merged.values()]
+        return [(child, self.vector(tuple([(k, v * mult)
+                                           for k, v in phi.items()])))
+                for child, phi, mult in merged.values()]
 
     def restart_features(self, node: ProofNode, alpha: float) -> FeatureVector:
         """Restart-edge features for a non-solution node.
@@ -281,8 +332,8 @@ class Prover:
         goal = node.subgoals[0]
         if goal[0] in self.store.tuples:
             n = self.store.binding_count(goal)
-            return {RESTART_FEATURE: n * alpha / (1.0 - alpha)}
-        return {RESTART_FEATURE: 1.0}
+            return self.vector(((RESTART_FEATURE, n * alpha / (1.0 - alpha)),))
+        return self.vector(((RESTART_FEATURE, 1.0),))
 
     def degree_lower_bound(self, node: ProofNode,
                            start: ProofNode) -> Optional[int]:
@@ -339,6 +390,7 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
 
     ``successors`` is a list of (target, phi); the restart edge goes to
     ``restart_target``, and ``restart_phi`` holds ``RESTART_FEATURE``.
+    The phis given are the ones returned, not copies.
     The restart weight is raised where needed so its probability never
     falls below alpha_prime.  Returns a list of (target, probability,
     phi) summing to 1, the restart last.
@@ -351,7 +403,7 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
              alpha_prime * s / (1.0 - alpha_prime))
     z = s + r0
     out = [(t, g / z, phi) for (t, phi), g in zip(successors, raws)]
-    out.append((restart_target, r0 / z, dict(restart_phi)))
+    out.append((restart_target, r0 / z, restart_phi))
     return out
 
 
@@ -407,6 +459,7 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     contract p, r, the graph and the stats are the same as without it.
     """
     g = GroundedGraph()
+    add_edge = g.edge_adder()
     ids: dict = {}          # payload -> node id
     held: set = set()       # cached child states without an id
 
@@ -473,7 +526,7 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
             edges = [(node_id(t), prob, phi) for t, prob, phi in edges]
             expanded[u] = (edges, degree)
             for dst, _, phi in edges:
-                g.add_edge(u, dst, phi)
+                add_edge(u, dst, phi)
         stats.pushes += 1
         stats.degree_sum += degree
         p[u] = p.get(u, 0.0) + alpha_prime * ru
@@ -504,11 +557,13 @@ class _ProverExpander:
         self.w = w
         self.fn = fn
         self.v0 = v0
+        self.loop_phi = prover.vector(((SELF_LOOP_FEATURE, 1.0),))
+        self.loop_restart_phi = prover.vector(((RESTART_FEATURE, 1.0),))
 
     def successors(self, node: ProofNode):
         """(successors, restart_phi) of ``node``; a solution self-loops."""
         if node.is_solution:
-            return [(node, {SELF_LOOP_FEATURE: 1.0})], {RESTART_FEATURE: 1.0}
+            return [(node, self.loop_phi)], self.loop_restart_phi
         return (self.prover.expand(node),
                 self.prover.restart_features(node, self.params.alpha))
 
@@ -552,6 +607,7 @@ def ground_full(query: Atom, program: Program, store: FactStore,
     v0 = start_node(query)
     expander = _ProverExpander(Prover(program, store), params, w, fn, v0)
     g = GroundedGraph()
+    add_edge = g.edge_adder()
     ids = {v0: g.add_node(v0)}
     g.depths[0] = 0
     frontier = [(v0, 0)]
@@ -572,8 +628,8 @@ def ground_full(query: Atom, program: Program, store: FactStore,
                     ids[target] = nid
                     g.depths[nid] = depth + 1
                     nxt.append((target, nid))
-                g.add_edge(u, nid, phi)
-            g.add_edge(u, g.start, restart_phi)
+                add_edge(u, nid, phi)
+            add_edge(u, g.start, restart_phi)
         frontier = nxt
     _name_answers(g, query)
     return g

@@ -89,6 +89,23 @@ def test_ground_then_train_round_trip(workspace):
         assert w1[name] == pytest.approx(w2[name], abs=1e-9)
 
 
+def test_train_from_groundings_reads_no_rules_or_facts(workspace):
+    groundings = workspace / "graphs.tsv"
+    assert run(["ground", *common(workspace), "--train",
+                workspace / "train.tsv", "--out", groundings]) == 0
+    broken = ["--rules", workspace / "broken.pl",
+              "--facts", workspace / "broken.tsv"]
+    (workspace / "broken.pl").write_text("about(X :- .\n")
+    (workspace / "broken.tsv").write_text("one column\n")
+    assert run(["ground", *broken, "--train", workspace / "train.tsv"]) == 1
+    base = ["train", "--train", workspace / "train.tsv", "--groundings",
+            groundings, "--epochs", "2"]
+    good, bad = workspace / "good.tsv", workspace / "bad.tsv"
+    assert run(base + [*common(workspace), "--params-out", good]) == 0
+    assert run(base + [*broken, "--params-out", bad]) == 0
+    assert bad.read_text() == good.read_text()
+
+
 def test_train_refuses_groundings_of_other_queries(workspace, capsys):
     # records pair with examples by position, so each must hold its
     # example's query

@@ -43,6 +43,17 @@ def test_serialize_roundtrip():
     assert serialize(g2) == text  # deterministic, diffable
 
 
+@pytest.mark.parametrize("value", [1, np.float64(1.0)],
+                         ids=["int", "numpy-float"])
+def test_serialize_writes_each_value_as_its_float(value):
+    g = GroundedGraph(query="q(a,X)")
+    g.add_node()
+    g.add_edge(0, 0, {"f": value})
+    text = serialize(g)
+    assert text.splitlines()[1] == "edge\t0\t0\tf=1.0"
+    assert serialize(deserialize(text)[0]) == text
+
+
 def test_serialize_multiple_records():
     g = sample_graph()
     text = serialize(g) + "\n" + serialize(g)
