@@ -23,7 +23,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .facts import load_facts
+from .facts import FactError, load_facts
 from .graph import deserialize, serialize
 from .grounder import GroundingParams, approximate_ground, ground_full
 from .inference import auc, average_precision, extract_answers, power_iterate
@@ -52,8 +52,13 @@ def _weighting(args):
 
 
 def _setup(args):
-    program = parse_program(Path(args.rules).read_text())
-    store = load_facts(Path(args.facts).read_text())
+    path = args.rules       # the file an input error names
+    try:
+        program = parse_program(Path(path).read_text())
+        path = args.facts
+        store = load_facts(Path(path).read_text())
+    except (ParseError, FactError) as e:
+        raise ValueError(f"{path} {e}") from None
     return (program, store, *_weighting(args))
 
 
@@ -101,7 +106,9 @@ def _read_examples(path: str):
 
 
 def cmd_answer(args) -> int:
+    t0 = time.perf_counter()
     program, store, params, w, fn = _setup(args)
+    t_load = time.perf_counter() - t0
     params = replace(params, max_T=args.max_t)
     queries = _read_queries(args.queries)
     out, t_ground, t_ppr = [], 0.0, 0.0
@@ -129,6 +136,7 @@ def cmd_answer(args) -> int:
         except Exception as e:  # per-query failures don't abort the run
             out.append(f"query\t{q!r}")
             out.append(f"error\t{e}")
+    print(f"time\tload\t{t_load:.6f}", file=sys.stderr)
     print(f"time\tgrounding\t{t_ground:.6f}", file=sys.stderr)
     print(f"time\tppr\t{t_ppr:.6f}", file=sys.stderr)
     _emit(args, "\n".join(out) + "\n")

@@ -4,12 +4,18 @@ Facts files are TSV: ``predicate<TAB>arg1<TAB>...<TAB>argK``.  Any
 predicate appearing in a facts file is thereby a database predicate.
 Every argument position is indexed, so a query with any bound argument
 scans only that argument's posting list rather than the whole relation.
+``load_facts`` streams the lines into each predicate's rows, then builds
+each position's posting lists in one pass over them.  Loading and
+grounding make no reference cycle, so they pause the cyclic collector,
+which would only rescan their growing tables; the pause is process-wide,
+so they must not run concurrently, as for the symbol table.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .terms import SYMBOLS, IntAtom, intern
 
@@ -38,22 +44,6 @@ class FactStore:
 
     def predicates(self) -> dict[str, int]:
         return {SYMBOLS[pid]: arity for pid, arity in self.arities.items()}
-
-    def add(self, pred: str, args: Sequence[str]):
-        pid = intern(pred)
-        row = tuple(map(intern, args))
-        if self.arities.setdefault(pid, len(row)) != len(row):
-            raise FactError(
-                f"ragged arity for {pred}: got {len(row)} args, "
-                f"expected {self.arities[pid]}")
-        rows = self.tuples.setdefault(pid, {})
-        if row in rows:
-            self.duplicate_count += 1
-            return
-        rows[row] = None
-        index = self.arg_index
-        for pos, val in enumerate(row):
-            index.setdefault((pid, pos, val), []).append(row)
 
     def _postings(self, goal: IntAtom):
         """(the rows to scan: the shortest posting list over the bound
@@ -109,19 +99,49 @@ def _fits(goal: IntAtom, row: tuple[int, ...]) -> bool:
                for a, val in zip(goal[1:], row))
 
 
+@contextmanager
+def _collector_paused():
+    """Turn the cyclic collector off; on exit turn it back on if it was on."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_facts(source: str) -> FactStore:
     """Load a TSV facts file; duplicates are dropped and counted."""
     store = FactStore()
+    tables = {}     # predicate name -> (its rows, its arity)
     for lineno, line in enumerate(source.splitlines(), 1):
         head = line.lstrip()
         if not head or head[0] == "%":
             continue
-        parts = line.split("\t")
-        if len(parts) < 2:
+        pred, tab, args = line.partition("\t")
+        if not tab:
             raise FactError(f"line {lineno}: expected predicate<TAB>args, "
                             f"got {line!r}")
-        try:
-            store.add(parts[0], parts[1:])
-        except FactError as e:
-            raise FactError(f"line {lineno}: {e}") from None
+        table = tables.get(pred)
+        if table is None:   # intern the name before its first args
+            pid = intern(pred)
+            table = tables[pred] = ({}, args.count("\t") + 1)
+            store.tuples[pid], store.arities[pid] = table
+        rows, arity = table
+        row = tuple(map(intern, args.split("\t")))
+        if len(row) != arity:
+            raise FactError(f"line {lineno}: ragged arity for {pred}: "
+                            f"got {len(row)} args, expected {arity}")
+        if row in rows:
+            store.duplicate_count += 1
+        rows[row] = None    # a duplicate keeps its first place
+    for pid, rows in store.tuples.items():
+        for pos in range(store.arities[pid]):
+            column = {}     # constant id -> posting list
+            for row in rows:
+                column.setdefault(row[pos], []).append(row)
+            for val, posting in column.items():
+                store.arg_index[pid, pos, val] = posting
     return store

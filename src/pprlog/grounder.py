@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Hashable, Optional
 
-from .facts import FactStore
+from .facts import FactStore, _collector_paused
 from .graph import (BUILTIN_FEATURES, DB_FEATURE, GroundedGraph,
                     RESTART_FEATURE, SELF_LOOP_FEATURE)
 from .parser import Clause, Program
@@ -576,6 +576,7 @@ class _ProverExpander:
         return self.prover.degree_lower_bound(node, self.v0)
 
 
+@_collector_paused()
 def approximate_ground(query: Atom, program: Program, store: FactStore,
                        params: GroundingParams, w: ParameterVector,
                        fn: WeightFn):
@@ -595,6 +596,7 @@ def approximate_ground(query: Atom, program: Program, store: FactStore,
     return g, p, stats
 
 
+@_collector_paused()
 def ground_full(query: Atom, program: Program, store: FactStore,
                 params: GroundingParams, w: Optional[ParameterVector] = None,
                 fn: Optional[WeightFn] = None) -> GroundedGraph:

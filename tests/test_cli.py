@@ -185,6 +185,36 @@ def test_bad_rules_file_exits_nonzero(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error\t")
 
 
+def test_bad_rules_line_names_the_file(workspace, capsys):
+    (workspace / "rules.pl").write_text("p(X) :- q(X).\nabout(X :- broken")
+    assert run(["answer", *common(workspace),
+                "--queries", workspace / "queries.txt"]) == 1
+    assert capsys.readouterr().err == (
+        f"error\t{workspace / 'rules.pl'} line 2, column 9: "
+        f"expected ')', found ':-'\n")
+
+
+def test_bad_facts_line_names_the_file(workspace, capsys):
+    (workspace / "facts.tsv").write_text("links\ta\tb\nlinks\ta\n")
+    assert run(["answer", *common(workspace),
+                "--queries", workspace / "queries.txt"]) == 1
+    assert capsys.readouterr().err == (
+        f"error\t{workspace / 'facts.tsv'} line 2: ragged arity for links: "
+        f"got 1 args, expected 2\n")
+
+
+def test_answer_reports_time_per_phase(workspace, capsys):
+    assert run(["answer", *common(workspace),
+                "--queries", workspace / "queries.txt"]) == 0
+    times = {}
+    for line in capsys.readouterr().err.splitlines():
+        kind, phase, seconds = line.split("\t")
+        assert kind == "time"
+        times[phase] = float(seconds)
+    assert set(times) == {"load", "grounding", "ppr"}
+    assert all(t >= 0.0 for t in times.values())
+
+
 def test_train_rejects_unlabelable_examples(workspace, capsys):
     (workspace / "bad.tsv").write_text("about(a,X)\t+about(a,nosuch)\n")
     code = run(["train", *common(workspace), "--train", workspace / "bad.tsv"])

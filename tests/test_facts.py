@@ -1,8 +1,12 @@
 import pytest
 
+import line_loader
+from line_loader import load_facts_by_line
+from pprlog import facts
 from pprlog.facts import FactError, load_facts
 from pprlog.grounder import GroundingParams, approximate_ground
 from pprlog.parser import parse_atom, parse_program
+from pprlog.synth import SyntheticDbSpec, citation_corpus, hyperlink_db
 from pprlog.terms import SYMBOLS, encode, intern
 from pprlog.weights import LINEAR, ParameterVector
 
@@ -107,3 +111,76 @@ def test_binding_count_equals_match_length():
     assert store.binding_count(goal("t(a,b,Z)")) == 2
     assert store.binding_count(goal("one(X,Y)")) == 1
     assert store.binding_count(goal("one(b,Y)")) == 0
+
+
+# comment and blank lines, leading whitespace (the tab-led line's
+# predicate is the empty name), CRLF endings, duplicates and an empty
+# trailing field
+EDGE_CASES = ("% a comment\nlinks\ta\tb\n\n   \n  % indented\r\n"
+              "links\ta\tc\r\n links\tb\tc\nlinks\ta\tb\nt\ta\tb\t\n"
+              "t\ta\tb\t\r\nedge\tc\tc\n\tx\ty\nlinks\ta\tb\n")
+ORACLE_INPUTS = {
+    **{f"hyperlink-{seed}": hyperlink_db(SyntheticDbSpec(200, 4.0, 50, seed),
+                                         num_queries=1)[0]
+       for seed in range(3)},
+    **{f"citation-{seed}": citation_corpus(num_papers=4, seed=seed)[0]
+       for seed in range(3)},
+    "edge-cases": EDGE_CASES,
+}
+
+
+class _Symbols(dict):
+    """A symbol table of its own: a name's id is its first-seen rank."""
+
+    def __missing__(self, name):
+        self[name] = len(self)
+        return self[name]
+
+
+def _load_with_own_symbols(monkeypatch, module, load, source):
+    """(store, symbol table) of ``load(source)`` interning into a fresh
+    table, so the two loaders' ids can be compared."""
+    symbols = _Symbols()
+    monkeypatch.setattr(module, "intern", symbols.__getitem__)
+    return load(source), symbols
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_loader_matches_line_at_a_time_loader(monkeypatch, name):
+    new, new_ids = _load_with_own_symbols(monkeypatch, facts, load_facts,
+                                          ORACLE_INPUTS[name])
+    old, old_ids = _load_with_own_symbols(monkeypatch, line_loader,
+                                          load_facts_by_line,
+                                          ORACLE_INPUTS[name])
+    assert list(new_ids) == list(old_ids)   # names in first-seen order
+    assert list(new.tuples) == list(old.tuples)
+    assert [list(rows) for rows in new.tuples.values()] == \
+        [list(rows) for rows in old.tuples.values()]
+    assert new.arities == old.arities
+    assert new.duplicate_count == old.duplicate_count
+    assert new.arg_index.keys() == old.arg_index.keys()
+    stored = {row: row for rows in new.tuples.values() for row in rows}
+    for key, posting in new.arg_index.items():
+        assert posting == old.arg_index[key]
+        assert all(row is stored[row] for row in posting)
+
+
+def test_edge_cases_load_as_read():
+    store = load_facts(EDGE_CASES)
+    assert {SYMBOLS[pid]: [[SYMBOLS[a] for a in r] for r in rows]
+            for pid, rows in store.tuples.items()} == {
+        "links": [["a", "b"], ["a", "c"]], " links": [["b", "c"]],
+        "t": [["a", "b", ""]], "edge": [["c", "c"]], "": [["x", "y"]]}
+    assert store.duplicate_count == 3
+
+
+@pytest.mark.parametrize("source", [
+    "links\ta\tb\nlinks\ta", "links\ta\tb\nlinks\ta\tb\tc",
+    "links\ta\tb\nlinks", "% c\n\nnosuch\r\n",
+], ids=["fewer-args", "more-args", "known-no-tab", "new-no-tab"])
+def test_load_errors_match_line_at_a_time_loader(source):
+    with pytest.raises(FactError) as new:
+        load_facts(source)
+    with pytest.raises(FactError) as old:
+        load_facts_by_line(source)
+    assert str(new.value) == str(old.value)

@@ -2,11 +2,12 @@
 
 Each case grounds a few queries of a small ``pprlog.synth`` dataset at
 seed 0 and compares a sha256 of what the grounding gives out with a
-digest recorded earlier.  A change meant to keep outputs identical (a
-speed-up of the prover, the push loop or the graph) must leave every
-digest as it is; a change that means to alter outputs records new ones
-with ``PYTHONPATH=src python tests/test_golden.py``, which prints them,
-and says why.
+digest recorded earlier; one more digest pins the fact store those
+datasets load into.  A change meant to keep outputs identical (a
+speed-up of the loader, the prover, the push loop or the graph) must
+leave every digest as it is; a change that means to alter outputs
+records new ones with ``PYTHONPATH=src python tests/test_golden.py``,
+which prints them, and says why.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from pprlog.grounder import GroundingParams, approximate_ground, ground_full
 from pprlog.parser import parse_atom, parse_program
 from pprlog.synth import (CITATION_RULES, HYPERLINK_RULES, SyntheticDbSpec,
                           citation_corpus, hyperlink_db)
+from pprlog.terms import SYMBOLS
 from pprlog.weights import LINEAR, ParameterVector
 
 PARAMS = GroundingParams()
@@ -31,6 +33,10 @@ GOLDEN = {
     "hyperlink-exact":
         "a6f5ee02247fc904875c14987c35c051209a5977802377ed626488cd7e39e670",
 }
+# rows, posting lists, arities and duplicate count of the seed-0 toy
+# hyperlink and citation facts
+STORE_GOLDEN = (
+    "3eddbf92586299f4bb2804160fadd96ce8214fb769bd0ff2c5ee874947f80b83")
 
 
 def _hyperlink(entities: int, queries: int):
@@ -63,6 +69,21 @@ def _exact(program, store, queries):
         yield repr(sorted(g.depths.items()))
 
 
+def _store(store):
+    """The store's tables by name: symbol ids depend on what the process
+    interned before."""
+    def names(ids):
+        return [SYMBOLS[i] for i in ids]
+    for pid, rows in store.tuples.items():
+        yield repr((SYMBOLS[pid], store.arities[pid]))
+        yield repr([names(row) for row in rows])
+    for pid, pos, val in sorted(store.arg_index, key=lambda k: (
+            SYMBOLS[k[0]], k[1], SYMBOLS[k[2]])):
+        yield repr((SYMBOLS[pid], pos, SYMBOLS[val],
+                    [names(row) for row in store.arg_index[pid, pos, val]]))
+    yield repr(store.duplicate_count)
+
+
 CASES = {
     "hyperlink-answer": lambda: _approximate(*_hyperlink(200, 4)),
     "citation": lambda: _approximate(*_citation()),
@@ -70,12 +91,21 @@ CASES = {
 }
 
 
-def digest(case: str) -> str:
+def _sha256(texts) -> str:
     h = hashlib.sha256()
-    for text in CASES[case]():
+    for text in texts:
         h.update(text.encode())
         h.update(b"\0")
     return h.hexdigest()
+
+
+def digest(case: str) -> str:
+    return _sha256(CASES[case]())
+
+
+def store_digest() -> str:
+    return _sha256(text for load in (_hyperlink(200, 4), _citation())
+                   for text in _store(load[1]))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -83,6 +113,11 @@ def test_grounding_outputs_match_recorded_digest(case):
     assert digest(case) == GOLDEN[case]
 
 
+def test_loaded_store_matches_recorded_digest():
+    assert store_digest() == STORE_GOLDEN
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f"    {case!r}: {digest(case)!r},")
+    print(f"STORE_GOLDEN = {store_digest()!r}")
