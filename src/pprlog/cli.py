@@ -29,8 +29,9 @@ from .grounder import GroundingParams, approximate_ground, ground_full
 from .inference import auc, average_precision, extract_answers, power_iterate
 from .learner import (SgdConfig, TrainingExample, ground_examples,
                       label_grounding, train_on_groundings)
-from .parser import ParseError, parse_atom, parse_program
-from .weights import (WEIGHT_FNS, ParameterVector, load_params, save_params)
+from .parser import ParseError, ProgramError, parse_atom, parse_program
+from .weights import (WEIGHT_FNS, ParameterVector, left_sum, load_params,
+                      save_params)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -57,7 +58,7 @@ def _setup(args):
         program = parse_program(Path(path).read_text())
         path = args.facts
         store = load_facts(Path(path).read_text())
-    except (ParseError, FactError) as e:
+    except (ParseError, ProgramError, FactError) as e:
         raise ValueError(f"{path} {e}") from None
     return (program, store, *_weighting(args))
 
@@ -251,7 +252,7 @@ def cmd_eval(args) -> int:
         except ValueError:
             lines.append(f"{ex.query!r}\t{ap:.6f}\tNA")
     global_auc = wins / pairs if pairs else float("nan")
-    lines.append(f"summary\tMAP\t{sum(maps) / len(maps):.6f}")
+    lines.append(f"summary\tMAP\t{left_sum(maps) / len(maps):.6f}")
     lines.append(f"summary\tAUC\t{global_auc:.6f}")
     _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, and_, itemgetter, rshift
 from typing import Callable, Hashable, Optional
 
 from .facts import FactStore, _collector_paused
@@ -20,7 +21,8 @@ from .graph import (BUILTIN_FEATURES, DB_FEATURE, GroundedGraph,
                     RESTART_FEATURE, SELF_LOOP_FEATURE)
 from .parser import Clause, Program
 from .terms import Atom, IntAtom, decode, encode, intern, variables_of
-from .weights import FeatureVector, ParameterVector, WeightFn, edge_weight
+from .weights import (FeatureVector, ParameterVector, WeightFn, edge_weight,
+                      left_sum)
 
 
 class GroundingError(Exception):
@@ -51,91 +53,133 @@ class GroundingParams:
 
 
 class ProofNode(tuple):
-    """A proof state (transformed query, remaining subgoals); empty
-    subgoals = solution.
+    """A proof state (transformed query, remaining subgoals) as one flat
+    tuple of ints; empty subgoals = solution.
 
-    Both parts are tuples of int-coded atoms ``(pred_id, arg, ...)``
-    (see ``terms``) whose variables are renamed -1, -2, ... jointly in
-    first-occurrence order, so alpha-equivalent states are equal tuples.
+    The tuple holds the query part's length in ints, then each atom of
+    the query and then of the subgoals as ``(arity, pred_id, arg, ...)``
+    (see ``terms`` for the ids).  Variables are renamed -1, -2, ...
+    jointly in first-occurrence order, so alpha-equivalent states are
+    equal tuples.  ``query`` and ``subgoals`` decode the two parts to
+    int-coded atoms ``(pred_id, arg, ...)``.
     """
     __slots__ = ()
 
     @property
     def query(self) -> tuple[IntAtom, ...]:
-        return self[0]
+        return _atoms(self, 1, 1 + self[0])
 
     @property
     def subgoals(self) -> tuple[IntAtom, ...]:
-        return self[1]
+        return _atoms(self, 1 + self[0], len(self))
 
     @property
     def is_solution(self) -> bool:
-        return not self[1]
+        return len(self) == 1 + self[0]
 
     def answer_text(self) -> str:
-        return ",".join(repr(decode(a)) for a in self[0])
+        return ",".join(repr(decode(a)) for a in self.query)
 
     def __repr__(self):
         return (f"<{self.answer_text()} | "
-                f"{','.join(repr(decode(a)) for a in self[1])}>")
+                f"{','.join(repr(decode(a)) for a in self.subgoals)}>")
 
 
-def _renaming(atoms, s: dict[int, int]) -> dict[int, int]:
+def _atoms(flat, i: int, end: int) -> tuple[IntAtom, ...]:
+    """The int-coded atoms of ``flat[i:end]``, where each is laid out as
+    ``(arity, pred_id, arg, ...)``."""
+    out = []
+    while i < end:
+        j = i + 2 + flat[i]
+        out.append(tuple(flat[i + 1:j]))
+        i = j
+    return tuple(out)
+
+
+def _flat(atoms) -> tuple[int, ...]:
+    """Int-coded atoms laid out as in a ``ProofNode``."""
+    return tuple(chain.from_iterable((len(a) - 1, *a) for a in atoms))
+
+
+_negative = (0).__gt__      # a variable
+
+
+def _renaming(raw, s: dict[int, int]) -> dict[int, int]:
     """The idempotent substitution ``s`` extended to rename each variable
-    it leaves free in ``atoms`` to -1, -2, ... in first-occurrence order.
-    ``_state`` applies it in one pass to give the canonical state."""
-    free: dict[int, int] = {}
-    for atom in atoms:
-        for a in atom:
-            if a < 0:
-                a = s.get(a, a)
-                if a < 0 and a not in free:
-                    free[a] = -1 - len(free)
+    it leaves free in the flat ``raw`` to -1, -2, ... in first-occurrence
+    order.  ``_state`` applies it in one pass to give the canonical state."""
+    free = dict.fromkeys(filter(_negative, map(s.get, raw, raw)))
+    free = dict(zip(free, range(-1, -1 - len(free), -1)))
     m = {k: free.get(v, v) for k, v in s.items()}
     m.update(free)
     return m
 
 
-def _state(query, subgoals, m: dict[int, int]) -> ProofNode:
-    """The state of the int-coded atoms with ``m`` applied once."""
-    get = m.get
-    return ProofNode((tuple([tuple(map(get, a, a)) for a in query]),
-                      tuple([tuple(map(get, a, a)) for a in subgoals])))
+def _state(raw, m: dict[int, int]) -> ProofNode:
+    """The state of the flat ``raw`` with ``m`` applied once; ``m`` maps
+    variables only, so lengths, arities and ids are kept."""
+    return ProofNode(map(m.get, raw, raw))
 
 
-def _row_template(query, rest, goal: IntAtom):
-    """``row -> _state(query, rest, m)`` for the rows matching a database
-    goal, ``m`` binding the goal's variables to the row and renaming the
-    other variables alike for every row.  Each atom is one ``itemgetter``
-    over ``row + fixed``; an atom free of goal variables is one value."""
-    m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
-    column = {a: i for i, a in enumerate(goal[1:]) if a < 0}
-    slots: dict = {}   # fixed value -> its index in row + fixed
+def _goal_span(node: ProofNode) -> tuple[int, int]:
+    """(o, e): the leftmost subgoal of a non-solution node is
+    ``node[o:e]``, so ``node[o + 1:e]`` is its int-coded atom."""
+    o = 1 + node[0]
+    return o, o + 2 + node[o]
 
-    def slot(value) -> int:
-        return slots.setdefault(value, len(goal) - 1 + len(slots))
 
-    def getter(atom):
-        if column.keys().isdisjoint(atom):  # keeps arity-0 atoms tuples
-            return itemgetter(slot(tuple(map(m.get, atom, atom))))
-        return itemgetter(*[column[a] if a in column else slot(m.get(a, a))
-                            for a in atom])
+def _shape(node: ProofNode) -> tuple[int, ...]:
+    """``node`` with every int >= 0 (a length, an arity or an id) as 0:
+    states of one shape differ only in their constants.  ``a & a >> 63``
+    is ``a`` for a variable and 0 for any int from 0 below 2**63."""
+    return tuple(map(and_, node, map(rshift, node, repeat(63))))
 
-    qget, rget = [getter(a) for a in query], [getter(a) for a in rest]
-    fixed = tuple(slots)
 
-    def child(row) -> ProofNode:
-        src = row + fixed
-        return ProofNode((tuple([g(src) for g in qget]),
-                          tuple([g(src) for g in rget])))
-    return child
+def _row_template(node: ProofNode, o: int,
+                  e: int) -> tuple[itemgetter, bool]:
+    """``row + node -> the child`` for every row matching the database goal
+    ``node[o:e]`` and every state of ``node``'s shape with that goal, and
+    whether distinct rows give distinct children.
+
+    A child is the state without the goal, the goal's variables bound to
+    the row and the other variables renamed alike for every row: each of
+    its ints is one item of ``row + node``.  A constant, length, arity or
+    id is the int at the same place in the state, a goal variable is the
+    row's value in the goal's first column holding it, and another
+    variable, renamed -k, is the first int of the state holding -k (a
+    canonical state holds each of -1..-n).  So one template serves every
+    state of the shape and goal, whatever its constants.  Rows give
+    distinct children when each goal variable occurs outside the goal.
+    """
+    arity = node[o]
+    column: dict[int, int] = {}
+    for j, a in enumerate(node[o + 2:e]):
+        if a < 0:
+            column.setdefault(a, j)
+    first: dict[int, int] = {}
+    for i, a in enumerate(node):
+        if a < 0:
+            first.setdefault(a, arity + i)
+    renamed: dict[int, int] = {}
+    picks = []
+    for i in chain(range(o), range(e, len(node))):
+        a = node[i]
+        if a >= 0:
+            picks.append(arity + i)
+        elif a in column:
+            picks.append(column[a])
+        else:
+            picks.append(first[renamed.setdefault(a, -1 - len(renamed))])
+    kept = set(map(node.__getitem__, chain(range(o), range(e, len(node)))))
+    # the query part makes two picks or more, so the getter gives tuples
+    return itemgetter(*picks), kept.issuperset(column)
 
 
 def make_node(query: tuple[Atom, ...], subgoals: tuple[Atom, ...]) -> ProofNode:
     """Canonicalize variables jointly so alpha-equivalent states merge."""
-    query = [encode(a) for a in query]
-    subgoals = [encode(a) for a in subgoals]
-    return _state(query, subgoals, _renaming((*query, *subgoals), {}))
+    q = _flat(map(encode, query))
+    raw = (len(q), *q, *_flat(map(encode, subgoals)))
+    return _state(raw, _renaming(raw, {}))
 
 
 def start_node(query: Atom) -> ProofNode:
@@ -144,7 +188,7 @@ def start_node(query: Atom) -> ProofNode:
 
 def _num_vars(node: ProofNode) -> int:
     """n for a state whose variables are -1..-n."""
-    return -min(0, *map(min, node[0]), *map(min, node[1]))
+    return -min(0, min(node))
 
 
 def _unify(goal: IntAtom, head: IntAtom) -> Optional[dict[int, int]]:
@@ -177,8 +221,11 @@ class Prover:
     """Expands proof states over an immutable program and fact store.
 
     Each clause is compiled once to int-coded atoms, its variables
-    numbered -1, -2, ... in first-occurrence order; it is standardized
-    apart from a state with variables -1..-n by offsetting those by n.
+    numbered -1, -2, ... in first-occurrence order, and its body laid out
+    flat as in a ``ProofNode``; it is standardized apart from a state
+    with variables -1..-n by offsetting those by n.  Database goals are
+    expanded through row templates (see ``_row_template``), compiled once
+    per prover for each state shape and goal place.
     """
 
     def __init__(self, program: Program, store: FactStore):
@@ -186,7 +233,7 @@ class Prover:
         self.program = program
         self.store = store
         self._clauses = {
-            intern(pred): [(c, encode(c.head), tuple(map(encode, c.body)),
+            intern(pred): [(c, encode(c.head), _flat(map(encode, c.body)),
                             tuple(map(encode, c.features))) for c in clauses]
             for pred, clauses in program.by_pred.items()}
         # (rule predicate, head length) -> its clause bodies, for the
@@ -209,6 +256,8 @@ class Prover:
             if not any(bodies) and None not in used:
                 self._units[key] = (cs, itemgetter(0, *sorted(set(used))), {})
         self._apart: dict[tuple[int, int], list] = {}
+        # (goal place, state shape) -> (its row template, distinct)
+        self._templates: dict[tuple, tuple[itemgetter, bool]] = {}
         self._feature_names: dict[IntAtom, str] = {}
         self._vectors: dict[tuple, FeatureVector] = {}   # items -> its dict
 
@@ -222,16 +271,15 @@ class Prover:
         return phi
 
     def _clauses_apart(self, pred: int, n: int) -> list:
-        """(clause, head, body, features) for a predicate, with variables
-        apart from a state's -1..-n."""
+        """(clause, head, flat body, features) for a predicate, with
+        variables apart from a state's -1..-n."""
         key = (pred, n)
         out = self._apart.get(key)
         if out is None:
             def shift(atom):
                 return tuple(a - n if a < 0 else a for a in atom)
             out = self._apart[key] = [
-                (c, shift(head), tuple(map(shift, body)),
-                 tuple(map(shift, feats)))
+                (c, shift(head), shift(body), tuple(map(shift, feats)))
                 for c, head, body, feats in self._clauses.get(pred, ())]
         return out
 
@@ -265,6 +313,9 @@ class Prover:
         for it (see ``vector``), shared by every successor and every call
         that gives it, so callers must not mutate it.
 
+        A database match's child is one call of the row template for the
+        state's shape (see ``_row_template``).
+
         A ground goal of a predicate defined only by body-less clauses
         whose heads are distinct variables and whose features name only
         head variables (``linkedBy(X,Y,W) :- true # by(W)``) takes the
@@ -275,13 +326,21 @@ class Prover:
         """
         if node.is_solution:
             raise ValueError("solution nodes have no subgoals to expand")
-        query, subgoals = node
-        goal, rest = subgoals[0], subgoals[1:]
+        o, e = _goal_span(node)
+        goal = node[o + 1:e]
         if goal[0] in self.store.tuples:
-            # every match has the features {db: 1.0}: children merge by state
-            counts = Counter(map(_row_template(query, rest, goal),
-                                 self.store.match(goal)))
+            key = (o, e, _shape(node))
+            compiled = self._templates.get(key)
+            if compiled is None:
+                compiled = self._templates[key] = _row_template(node, o, e)
+            template, distinct = compiled
+            children = map(ProofNode, map(template, map(
+                add, self.store.match(goal), repeat(node))))
             once = self.vector(((DB_FEATURE, 1.0),))
+            if distinct:
+                return list(zip(children, repeat(once)))
+            # every match has the features {db: 1.0}: children merge by state
+            counts = Counter(children)
             return [(child, once if k == 1
                      else self.vector(((DB_FEATURE, float(k)),)))
                     for child, k in counts.items()]
@@ -294,15 +353,17 @@ class Prover:
                 phis = vectors[key] = [phi for _, phi in self._merge(
                     node, [(None, clause, dict(zip(head, goal)), features)
                            for clause, head, features in clauses])]
-            child = ProofNode((query, rest))
+            child = ProofNode(node[:o] + node[e:])
             return [(child, phi) for phi in phis]
+        query, rest = node[:o], node[e:]
         steps = []
         for clause, head, body, features in self._clauses_apart(
                 goal[0], _num_vars(node)):
             sigma = _unify(goal, head)
             if sigma is not None:
-                steps.append((_state(query, (*body, *rest), _renaming(
-                    (*query, *body, *rest), sigma)), clause, sigma, features))
+                raw = query + body + rest
+                steps.append((_state(raw, _renaming(raw, sigma)), clause,
+                              sigma, features))
         return self._merge(node, steps)
 
     def _merge(self, node: ProofNode, steps):
@@ -329,9 +390,9 @@ class Prover:
         rule goals get a unit defRestart.  n = 0 yields a zero weight that
         the restart floor later replaces, making the dead end restart-only.
         """
-        goal = node.subgoals[0]
-        if goal[0] in self.store.tuples:
-            n = self.store.binding_count(goal)
+        o, e = _goal_span(node)
+        if node[o + 1] in self.store.tuples:
+            n = self.store.binding_count(node[o + 1:e])
             return self.vector(((RESTART_FEATURE, n * alpha / (1.0 - alpha)),))
         return self.vector(((RESTART_FEATURE, 1.0),))
 
@@ -353,35 +414,45 @@ class Prover:
         clause has a body or that subgoal differs from the start's.  Heads
         of distinct variables all unify, so a table gives their bodies.
         """
-        query, subgoals = node
-        if len(subgoals) < 2:
+        o = 1 + node[0]
+        if o == len(node):
             return None
-        goal, rest = subgoals[0], subgoals[1:]
+        e = o + 2 + node[o]
+        if e == len(node):
+            return None
         # a child can have the start's subgoals only through a lone rest
-        lone_like_start = (len(rest) == 1
-                           and not _differs(rest[0], start.subgoals[0]))
-        if goal[0] in self.store.tuples:
-            elsewhere = {a for atom in (*query, *rest) for a in atom if a < 0}
-            if not all(a >= 0 or a in elsewhere for a in goal):
+        lone_like_start = (e + 2 + node[e] == len(node) and not _differs(
+            node, e, start, 1 + start[0]))
+        pred = node[o + 1]
+        if pred in self.store.tuples:
+            elsewhere = set(filter(_negative, node[:o] + node[e:]))
+            if not elsewhere.issuperset(filter(_negative, node[o + 2:e])):
                 return None
-            count = self.store.binding_count(goal)
+            count = self.store.binding_count(node[o + 1:e])
             return count if lone_like_start else count + 1
-        bodies = self._open_heads.get((goal[0], len(goal)))
+        bodies = self._open_heads.get((pred, e - o - 1))
         if bodies is None:
+            goal = node[o + 1:e]
             bodies = [body for _, head, body, _ in
-                      self._clauses_apart(goal[0], _num_vars(node))
+                      self._clauses_apart(pred, _num_vars(node))
                       if _unify(goal, head) is not None]
         if not bodies or (lone_like_start and not all(bodies)):
             return None
         return 2
 
 
-def _differs(atom: IntAtom, start: IntAtom) -> bool:
-    """Whether no substitution of ``atom``'s variables can give ``start``
-    (up to renaming): another predicate, or a constant where ``start`` has
-    a variable or another constant."""
-    return (len(atom) != len(start) or atom[0] != start[0]
-            or any(a >= 0 and a != b for a, b in zip(atom[1:], start[1:])))
+def _differs(node: ProofNode, i: int, start: ProofNode, j: int) -> bool:
+    """Whether no substitution of the variables of the atom at ``node[i]``
+    can give the one at ``start[j]`` (up to renaming): another arity or
+    predicate, or a constant where ``start`` has a variable or another
+    constant."""
+    if node[i] != start[j] or node[i + 1] != start[j + 1]:
+        return True
+    for k in range(2, 2 + node[i]):
+        a = node[i + k]
+        if a >= 0 and a != start[j + k]:
+            return True
+    return False
 
 
 def transition_distribution(successors, restart_phi, w: ParameterVector,
@@ -398,7 +469,7 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
     by_id = {id(phi): phi for _, phi in successors}  # shared phis weigh once
     raw_of = {k: edge_weight(fn, w, phi) for k, phi in by_id.items()}
     raws = [raw_of[id(phi)] for _, phi in successors]
-    s = sum(raws)
+    s = left_sum(raws)
     r0 = max(edge_weight(fn, w, restart_phi),
              alpha_prime * s / (1.0 - alpha_prime))
     z = s + r0
@@ -418,6 +489,7 @@ class PushStats:
 # An expander maps a node to its outgoing distribution:
 # node -> list of (target, probability, phi); the restart's phi has defRestart.
 Expander = Callable[[Hashable], list]
+_target = itemgetter(0)     # of an expander's (target, probability, phi)
 # A lower bound on the number of distinct targets of a node's expansion,
 # or None when no cheap bound is known.
 LowerBound = Callable[[Hashable], Optional[int]]
@@ -494,10 +566,11 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
 
     def expand_node(u: int):
         edges = expand(g.nodes[u])
-        for t, *_ in edges:
+        heads = list(map(_target, edges))
+        for t in heads:
             if getattr(t, "is_solution", False):
                 node_id(t)
-        targets = {t for t, *_ in edges}
+        targets = set(heads)
         new = targets.difference(ids, held)
         admit(len(new))
         held.update(new)
@@ -537,13 +610,13 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
                 raise GroundingError(
                     f"restart probability {prob} below alpha_prime="
                     f"{alpha_prime} at node {g.nodes[u]!r}")
-            r[dst] = r.get(dst, 0.0) + share * ru
-            if r[dst] > epsilon and dst not in queued:
+            r[dst] = rd = r.get(dst, 0.0) + share * ru
+            if rd > epsilon and dst not in queued:
                 stack.append(dst)
                 queued.add(dst)
 
     stats.nodes_discovered = g.num_nodes
-    stats.residual_mass = sum(r.values())
+    stats.residual_mass = left_sum(r.values())
     return p, r, g, stats
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .graph import GroundedGraph, NumericGraph
 from .kernels import power_iterate_arrays
-from .weights import ParameterVector, WeightFn
+from .weights import ParameterVector, WeightFn, left_sum
 
 
 def power_iterate(g: GroundedGraph, w: ParameterVector, fn: WeightFn,
@@ -49,7 +49,7 @@ def extract_answers(g: GroundedGraph, v) -> AnswerList:
         mass = v[nid] if nid < len(v) else 0.0
         answer = g.solutions[nid]
         masses[answer] = masses.get(answer, 0.0) + float(mass)
-    z = sum(masses.values())
+    z = left_sum(masses.values())
     if z <= 0.0:
         return AnswerList([], 0.0)
     items = sorted(((a, m / z) for a, m in masses.items()),

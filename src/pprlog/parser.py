@@ -135,6 +135,7 @@ class _ClauseParser:
         self.tok = tok
         self.vars: dict[str, Var] = {}
         self.next_var = 0
+        self.places: list[tuple[int, int]] = []   # each atom's line, column
 
     def _term(self) -> Term:
         kind, text, line, col = self.tok.next()
@@ -151,6 +152,7 @@ class _ClauseParser:
 
     def atom(self) -> Atom:
         kind, text, line, col = self.tok.next()
+        self.places.append((line, col))
         if kind == "quoted":
             pred = _unquote(text)
         elif kind == "name" and not (text[0].isupper() or text[0] == "_"):
@@ -211,13 +213,17 @@ def parse_program(source: str) -> Program:
     n = 0
     while tok.peek()[0] != "eof":
         n += 1
-        clause = _ClauseParser(tok).clause(f"c{n}")
-        for atom in clause.atoms():
+        parser = _ClauseParser(tok)
+        clause = parser.clause(f"c{n}")
+        # the head and body atoms were parsed first: a body of "true"
+        # alone is empty, and the features come after it
+        for atom, (line, col) in zip(clause.atoms(), parser.places):
             known = prog.arities.setdefault(atom.pred, atom.arity)
             if known != atom.arity:
                 raise ProgramError(
-                    f"arity conflict for {atom.pred}: used with {atom.arity} "
-                    f"args but previously {known}")
+                    f"line {line}, column {col}: arity conflict for "
+                    f"{atom.pred}: used with {atom.arity} args but "
+                    f"previously {known}")
         prog.clauses.append(clause)
         prog.by_pred.setdefault(clause.head.pred, []).append(clause)
     return prog

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -54,8 +54,20 @@ EXP = WeightFn("exp", math.exp, np.exp, lambda dot, raw: raw.copy())
 WEIGHT_FNS = {"linear": LINEAR, "exp": EXP}
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The floats added one at a time from the left, starting at 0.0.
+
+    ``sum`` gives these bytes up to Python 3.11, but from 3.12 it adds
+    floats with compensation, so the last bits of a sum, and the outputs
+    built from it, would depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def edge_weight(fn: WeightFn, w: ParameterVector, phi: FeatureVector) -> float:
-    dot = sum(w[name] * val for name, val in phi.items())
+    dot = left_sum(w[name] * val for name, val in phi.items())
     raw = fn.value(dot)
     if not (raw > 0.0) or not math.isfinite(raw):
         raise ValueError(f"nonpositive or non-finite edge weight {raw} "

@@ -194,6 +194,15 @@ def test_bad_rules_line_names_the_file(workspace, capsys):
         f"expected ')', found ':-'\n")
 
 
+def test_arity_conflict_names_the_rules_file_and_atom(workspace, capsys):
+    (workspace / "rules.pl").write_text("p(X) :- q(X).\n  p(X,Y) :- q(X).")
+    assert run(["answer", *common(workspace),
+                "--queries", workspace / "queries.txt"]) == 1
+    assert capsys.readouterr().err == (
+        f"error\t{workspace / 'rules.pl'} line 2, column 3: arity conflict "
+        f"for p: used with 2 args but previously 1\n")
+
+
 def test_bad_facts_line_names_the_file(workspace, capsys):
     (workspace / "facts.tsv").write_text("links\ta\tb\nlinks\ta\n")
     assert run(["answer", *common(workspace),

@@ -30,6 +30,8 @@ GOLDEN = {
         "4c6dbda084bb4562c07bf3d2381b046bd5046265f5e2024b78cb57d578f7d9e5",
     "citation":
         "52a503f72bbe741cd3ab32c1ea255576afe3839e64811e295a442b2401799322",
+    "citation-8":
+        "e9e2e62adf8c75a27edb91ab13a9d77b4281dba0034872bc9480146ff872a4f5",
     "hyperlink-exact":
         "a6f5ee02247fc904875c14987c35c051209a5977802377ed626488cd7e39e670",
 }
@@ -46,8 +48,8 @@ def _hyperlink(entities: int, queries: int):
             [parse_atom(q) for q in lines.split("\n") if q])
 
 
-def _citation():
-    facts, train, _ = citation_corpus(num_papers=4, seed=0)
+def _citation(num_papers: int = 4):
+    facts, train, _ = citation_corpus(num_papers=num_papers, seed=0)
     queries = [parse_atom(line.split("\t")[0])
                for line in train.splitlines() if line]
     return parse_program(CITATION_RULES), load_facts(facts), queries
@@ -87,6 +89,8 @@ def _store(store):
 CASES = {
     "hyperlink-answer": lambda: _approximate(*_hyperlink(200, 4)),
     "citation": lambda: _approximate(*_citation()),
+    # full-size citation states hold up to 9 subgoals
+    "citation-8": lambda: _approximate(*_citation(8)),
     "hyperlink-exact": lambda: _exact(*_hyperlink(30, 3)),
 }
 

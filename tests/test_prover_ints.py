@@ -22,9 +22,10 @@ from pprlog import grounder
 from pprlog.facts import load_facts
 from pprlog.graph import (DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE,
                           serialize)
-from pprlog.grounder import (GroundingParams, Prover, _renaming,
-                             _row_template, _state, approximate_ground,
-                             ground_full, make_node, transition_distribution)
+from pprlog.grounder import (GroundingParams, ProofNode, Prover, _flat,
+                             _goal_span, _renaming, _row_template, _state,
+                             approximate_ground, ground_full, make_node,
+                             transition_distribution)
 from pprlog.parser import parse_atom, parse_program
 from pprlog.terms import (SYMBOLS, Atom, Const, Var, decode, intern,
                           variables_of)
@@ -60,6 +61,10 @@ def ref_matches(facts, goal: Atom) -> list:
     return [s for s in matches if s is not None]
 
 
+class NonGroundFeature(Exception):
+    """A clause gave a feature with a variable left in it."""
+
+
 def ref_expand(program, facts, node: RefNode) -> list:
     goal, rest = node.subgoals[0], node.subgoals[1:]
     merged: dict = {}
@@ -86,7 +91,8 @@ def ref_expand(program, facts, node: RefNode) -> list:
             phi: dict = {}
             for feat in renamed[len(clause.body):]:
                 ground = apply(sigma, feat)
-                assert all(isinstance(t, Const) for t in ground.args)
+                if not all(isinstance(t, Const) for t in ground.args):
+                    raise NonGroundFeature(repr(ground))
                 phi[repr(ground)] = phi.get(repr(ground), 0.0) + 1.0
             emit(ref_node(apply(sigma, node.query),
                           apply(sigma, (*body, *rest))), phi)
@@ -182,6 +188,15 @@ def row_of(goal, values):
     return tuple(a if a >= 0 else values[-1 - a] for a in goal[1:])
 
 
+def goal_state(query, goal, rest):
+    """The state <query | goal, rest> of int-coded atoms, and (o, e), the
+    goal's place in it."""
+    q = _flat(query)
+    raw = (len(q), *q, *_flat((goal, *rest)))
+    node = _state(raw, _renaming(raw, {}))
+    return node, *_goal_span(node)
+
+
 @given(query=st.lists(ATOMS, min_size=1, max_size=2),
        rest=st.lists(ATOMS, max_size=3), goal=ATOMS,
        values=st.lists(st.lists(st.sampled_from([A, B, C]), min_size=5,
@@ -196,16 +211,54 @@ def row_of(goal, values):
 @example(query=[(P, -1)], rest=[(Q, -1, -2)], goal=(R, -1, -3),
          values=[[A, B, A, A, A], [A, B, B, A, A]])
 def test_row_template_matches_state_per_row(query, rest, goal, values):
-    query, rest = tuple(query), tuple(rest)
+    node, o, e = goal_state(query, goal, tuple(rest))
+    # rows of the goal as given match its renamed form in the state
     rows = [row_of(goal, v) for v in values]
-    # the path the template replaces: m updated per row, then _state
-    m = _renaming((*query, *rest), {a: 0 for a in goal if a < 0})
+    # the path the template replaces: the state without the goal, its
+    # variables bound to the row, through _renaming and _state
+    raw = node[:o] + node[e:]
     expected = []
     for row in rows:
-        m.update(zip(goal[1:], row))
-        expected.append(_state(query, rest, m))
-    template = _row_template(query, rest, goal)
-    assert [template(row) for row in rows] == expected
+        s = {a: v for a, v in zip(node[o + 2:e], row) if a < 0}
+        expected.append(_state(raw, _renaming(raw, s)))
+    template, distinct = _row_template(node, o, e)
+    assert [ProofNode(template(row + node)) for row in rows] == expected
+    # the store gives each row once; distinct rows then give distinct
+    # children when the template says so
+    unique = dict.fromkeys(rows)
+    if distinct:
+        assert len({ProofNode(template(row + node))
+                    for row in unique}) == len(unique)
+
+
+def test_states_of_one_shape_get_their_own_constants():
+    program = parse_program("p(X) :- e(X,Y),r(Y),t(k).\nr(X) :- s(X).")
+    prover = Prover(program, load_facts("e\ta\tb\ne\tc\td\ns\ta"))
+    children = [
+        [repr(c) for c, _ in prover.expand(make_node(
+            (parse_atom(q),), tuple(map(parse_atom, subgoals))))]
+        for q, subgoals in (("p(a)", ("e(a,Y)", "r(Y)", "t(u)")),
+                            ("p(c)", ("e(c,Y)", "r(Y)", "t(v)")))]
+    assert len(prover._templates) == 1
+    assert children == [["<p(a) | r(b),t(u)>"], ["<p(c) | r(d),t(v)>"]]
+
+
+def test_long_state_is_built_from_its_template():
+    program = parse_program("p(X) :- e(X,Y),r(Y).\nr(X) :- s(X).")
+    store = load_facts("e\ta\tb\ne\ta\tc\ne\tb\tc\ns\ta")
+    prover = Prover(program, store)
+    # Y bound by the goal, then 40 atoms sharing it and one fresh variable
+    # each, some of them quoted constants
+    atoms = parse_program("x :- e(X,Y),{}.".format(",".join(
+        f"t(Y,Z{i},'C{i % 3}')" for i in range(40)))).clauses[0].body
+    node = make_node((parse_atom("p(X)"),), atoms)
+    assert len(node) >= 100
+    ref = ref_expand(program, relations(store),
+                     ref_node((parse_atom("p(X)"),), atoms))
+    assert [((tuple(map(decode, c.query)), tuple(map(decode, c.subgoals))),
+             phi) for c, phi in prover.expand(node)] == [
+        ((c.query, c.subgoals), phi) for c, phi in ref]
+    assert len(ref) == 3
 
 
 def test_database_fan_out_merges_and_shares_features():
