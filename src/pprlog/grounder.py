@@ -170,9 +170,8 @@ def _row_template(node: ProofNode, o: int,
             picks.append(column[a])
         else:
             picks.append(first[renamed.setdefault(a, -1 - len(renamed))])
-    kept = set(map(node.__getitem__, chain(range(o), range(e, len(node)))))
     # the query part makes two picks or more, so the getter gives tuples
-    return itemgetter(*picks), kept.issuperset(column)
+    return itemgetter(*picks), set(node[:o] + node[e:]).issuperset(column)
 
 
 def make_node(query: tuple[Atom, ...], subgoals: tuple[Atom, ...]) -> ProofNode:
