@@ -135,11 +135,9 @@ def _shape(node: ProofNode) -> tuple[int, ...]:
     return tuple(map(and_, node, map(rshift, node, repeat(63))))
 
 
-def _row_template(node: ProofNode, o: int,
-                  e: int) -> tuple[itemgetter, bool]:
+def _row_template(node: ProofNode, o: int, e: int) -> itemgetter:
     """``row + node -> the child`` for every row matching the database goal
-    ``node[o:e]`` and every state of ``node``'s shape with that goal, and
-    whether distinct rows give distinct children.
+    ``node[o:e]`` and every state of ``node``'s shape with that goal.
 
     A child is the state without the goal, the goal's variables bound to
     the row and the other variables renamed alike for every row: each of
@@ -148,8 +146,7 @@ def _row_template(node: ProofNode, o: int,
     row's value in the goal's first column holding it, and another
     variable, renamed -k, is the first int of the state holding -k (a
     canonical state holds each of -1..-n).  So one template serves every
-    state of the shape and goal, whatever its constants.  Rows give
-    distinct children when each goal variable occurs outside the goal.
+    state of the shape and goal, whatever its constants.
     """
     arity = node[o]
     column: dict[int, int] = {}
@@ -171,7 +168,7 @@ def _row_template(node: ProofNode, o: int,
         else:
             picks.append(first[renamed.setdefault(a, -1 - len(renamed))])
     # the query part makes two picks or more, so the getter gives tuples
-    return itemgetter(*picks), set(node[:o] + node[e:]).issuperset(column)
+    return itemgetter(*picks)
 
 
 def make_node(query: tuple[Atom, ...], subgoals: tuple[Atom, ...]) -> ProofNode:
@@ -255,8 +252,8 @@ class Prover:
             if not any(bodies) and None not in used:
                 self._units[key] = (cs, itemgetter(0, *sorted(set(used))), {})
         self._apart: dict[tuple[int, int], list] = {}
-        # (goal place, state shape) -> (its row template, distinct)
-        self._templates: dict[tuple, tuple[itemgetter, bool]] = {}
+        # (goal place, state shape) -> its row template
+        self._templates: dict[tuple, itemgetter] = {}
         self._feature_names: dict[IntAtom, str] = {}
         self._vectors: dict[tuple, FeatureVector] = {}   # items -> its dict
 
@@ -329,17 +326,13 @@ class Prover:
         goal = node[o + 1:e]
         if goal[0] in self.store.tuples:
             key = (o, e, _shape(node))
-            compiled = self._templates.get(key)
-            if compiled is None:
-                compiled = self._templates[key] = _row_template(node, o, e)
-            template, distinct = compiled
-            children = map(ProofNode, map(template, map(
-                add, self.store.match(goal), repeat(node))))
-            once = self.vector(((DB_FEATURE, 1.0),))
-            if distinct:
-                return list(zip(children, repeat(once)))
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = _row_template(node, o, e)
             # every match has the features {db: 1.0}: children merge by state
-            counts = Counter(children)
+            counts = Counter(map(ProofNode, map(template, map(
+                add, self.store.match(goal), repeat(node)))))
+            once = self.vector(((DB_FEATURE, 1.0),))
             return [(child, once if k == 1
                      else self.vector(((DB_FEATURE, float(k)),)))
                     for child, k in counts.items()]
@@ -488,7 +481,6 @@ class PushStats:
 # An expander maps a node to its outgoing distribution:
 # node -> list of (target, probability, phi); the restart's phi has defRestart.
 Expander = Callable[[Hashable], list]
-_target = itemgetter(0)     # of an expander's (target, probability, phi)
 # A lower bound on the number of distinct targets of a node's expansion,
 # or None when no cheap bound is known.
 LowerBound = Callable[[Hashable], Optional[int]]
@@ -565,11 +557,10 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
 
     def expand_node(u: int):
         edges = expand(g.nodes[u])
-        heads = list(map(_target, edges))
-        for t in heads:
+        for t, *_ in edges:
             if getattr(t, "is_solution", False):
                 node_id(t)
-        targets = set(heads)
+        targets = {t for t, *_ in edges}
         new = targets.difference(ids, held)
         admit(len(new))
         held.update(new)
@@ -609,8 +600,8 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
                 raise GroundingError(
                     f"restart probability {prob} below alpha_prime="
                     f"{alpha_prime} at node {g.nodes[u]!r}")
-            r[dst] = rd = r.get(dst, 0.0) + share * ru
-            if rd > epsilon and dst not in queued:
+            r[dst] = r.get(dst, 0.0) + share * ru
+            if r[dst] > epsilon and dst not in queued:
                 stack.append(dst)
                 queued.add(dst)
 
