@@ -60,12 +60,17 @@ def _setup(args):
         store = load_facts(Path(path).read_text())
     except (ParseError, ProgramError, FactError) as e:
         raise ValueError(f"{path} {e}") from None
+    try:
+        program.check_against_facts(store.predicates())
+    except ProgramError as e:
+        raise ValueError(f"{args.rules} and {args.facts}: {e}") from None
     return (program, store, *_weighting(args))
 
 
-def _emit(args, text: str):
-    if args.out:
-        Path(args.out).write_text(text)
+def _emit(path, text: str):
+    """Write ``text`` to the file ``path``, or to stdout if it is None."""
+    if path:
+        Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -140,21 +145,19 @@ def cmd_answer(args) -> int:
     print(f"time\tload\t{t_load:.6f}", file=sys.stderr)
     print(f"time\tgrounding\t{t_ground:.6f}", file=sys.stderr)
     print(f"time\tppr\t{t_ppr:.6f}", file=sys.stderr)
-    _emit(args, "\n".join(out) + "\n")
+    _emit(args.out, "\n".join(out) + "\n")
     return 0
 
 
 def cmd_ground(args) -> int:
     program, store, params, w, fn = _setup(args)
-    records = []
-    for _, ex in _read_examples(args.train):
-        g, _, _ = approximate_ground(ex.query, program, store, params, w, fn)
-        lg = label_grounding(ex, g)
+    examples = [ex for _, ex in _read_examples(args.train)]
+    groundings = ground_examples(examples, program, store, params, w, fn)
+    for lg in groundings:
         if not (lg.pos_nodes or lg.neg_nodes):
-            print(f"warning\tno labeled solutions for {ex.query!r}",
+            print(f"warning\tno labeled solutions for {lg.example.query!r}",
                   file=sys.stderr)
-        records.append(serialize(g))
-    _emit(args, "\n".join(records))
+    _emit(args.out, "\n".join(serialize(lg.graph) for lg in groundings))
     return 0
 
 
@@ -171,8 +174,9 @@ def cmd_train(args) -> int:
     if args.groundings:
         graphs = deserialize(Path(args.groundings).read_text())
         if len(graphs) != len(examples):
-            print(f"error\t{len(graphs)} groundings for "
-                  f"{len(examples)} examples", file=sys.stderr)
+            print(f"error\t{args.groundings} holds {len(graphs)} groundings "
+                  f"but {args.train} holds {len(examples)} examples",
+                  file=sys.stderr)
             return 2
         for i, ((lineno, ex), g) in enumerate(zip(numbered, graphs), 1):
             if g.query != repr(ex.query):
@@ -196,11 +200,7 @@ def cmd_train(args) -> int:
         print(f"epoch\t{epoch}\t{loss:.6f}", file=sys.stderr)
     if result.skipped_examples:
         print(f"skipped\t{result.skipped_examples}", file=sys.stderr)
-    text = save_params(result.weights)
-    if args.params_out:
-        Path(args.params_out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.params_out, save_params(result.weights))
     return 0
 
 
@@ -254,7 +254,7 @@ def cmd_eval(args) -> int:
     global_auc = wins / pairs if pairs else float("nan")
     lines.append(f"summary\tMAP\t{left_sum(maps) / len(maps):.6f}")
     lines.append(f"summary\tAUC\t{global_auc:.6f}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 

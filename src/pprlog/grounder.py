@@ -103,6 +103,15 @@ def _flat(atoms) -> tuple[int, ...]:
 
 _negative = (0).__gt__      # a variable
 
+# Clause variables are compiled to ids at or below -APART, which no
+# state's -1..-n reaches, so every clause is apart from every state.
+APART = 1 << 32
+
+
+def _standardize(atom) -> tuple[int, ...]:
+    """``atom`` with each variable v as ``v - APART``."""
+    return tuple(a - APART if a < 0 else a for a in atom)
+
 
 def _renaming(raw, s: dict[int, int]) -> dict[int, int]:
     """The idempotent substitution ``s`` extended to rename each variable
@@ -182,11 +191,6 @@ def start_node(query: Atom) -> ProofNode:
     return make_node((query,), (query,))
 
 
-def _num_vars(node: ProofNode) -> int:
-    """n for a state whose variables are -1..-n."""
-    return -min(0, min(node))
-
-
 def _unify(goal: IntAtom, head: IntAtom) -> Optional[dict[int, int]]:
     """Most general unifier of two int-coded atoms as an idempotent
     substitution, or None.  Variables are bound goal side first."""
@@ -216,12 +220,12 @@ def _unify(goal: IntAtom, head: IntAtom) -> Optional[dict[int, int]]:
 class Prover:
     """Expands proof states over an immutable program and fact store.
 
-    Each clause is compiled once to int-coded atoms, its variables
-    numbered -1, -2, ... in first-occurrence order, and its body laid out
-    flat as in a ``ProofNode``; it is standardized apart from a state
-    with variables -1..-n by offsetting those by n.  Database goals are
-    expanded through row templates (see ``_row_template``), compiled once
-    per prover for each state shape and goal place.
+    Each clause is compiled once to int-coded atoms, its body laid out
+    flat as in a ``ProofNode`` and its variables numbered at or below
+    ``-APART``; a state's variables are -1..-n, so every clause is apart
+    from every state as it stands.  Database goals are expanded through
+    row templates (see ``_row_template``), compiled once per prover for
+    each state shape and goal place.
     """
 
     def __init__(self, program: Program, store: FactStore):
@@ -229,8 +233,10 @@ class Prover:
         self.program = program
         self.store = store
         self._clauses = {
-            intern(pred): [(c, encode(c.head), _flat(map(encode, c.body)),
-                            tuple(map(encode, c.features))) for c in clauses]
+            intern(pred): [(c, _standardize(encode(c.head)),
+                            _standardize(_flat(map(encode, c.body))),
+                            tuple(map(_standardize, map(encode, c.features))))
+                           for c in clauses]
             for pred, clauses in program.by_pred.items()}
         # (rule predicate, head length) -> its clause bodies, for the
         # predicates whose clause heads are all distinct variables
@@ -251,7 +257,6 @@ class Prover:
                     for feat in feats for a in feat if a < 0]
             if not any(bodies) and None not in used:
                 self._units[key] = (cs, itemgetter(0, *sorted(set(used))), {})
-        self._apart: dict[tuple[int, int], list] = {}
         # (goal place, state shape) -> its row template
         self._templates: dict[tuple, itemgetter] = {}
         self._feature_names: dict[IntAtom, str] = {}
@@ -266,26 +271,12 @@ class Prover:
             phi = self._vectors[items] = dict(items)
         return phi
 
-    def _clauses_apart(self, pred: int, n: int) -> list:
-        """(clause, head, flat body, features) for a predicate, with
-        variables apart from a state's -1..-n."""
-        key = (pred, n)
-        out = self._apart.get(key)
-        if out is None:
-            def shift(atom):
-                return tuple(a - n if a < 0 else a for a in atom)
-            out = self._apart[key] = [
-                (c, shift(head), shift(body), tuple(map(shift, feats)))
-                for c, head, body, feats in self._clauses.get(pred, ())]
-        return out
-
     def _feature_name(self, feat: IntAtom, clause: Clause,
                       node: ProofNode) -> str:
         name = self._feature_names.get(feat)
         if name is None:
-            if min(feat) < 0:  # the clause is apart from node's -1..-n
-                n = _num_vars(node)
-                names = {-1 - n - v.id: v.name for v in variables_of(
+            if min(feat) < 0:
+                names = {-1 - APART - v.id: v.name for v in variables_of(
                     (*clause.atoms(), *clause.features))}
                 raise GroundingError(
                     f"non-ground feature {decode(feat, names)!r} when "
@@ -349,8 +340,7 @@ class Prover:
             return [(child, phi) for phi in phis]
         query, rest = node[:o], node[e:]
         steps = []
-        for clause, head, body, features in self._clauses_apart(
-                goal[0], _num_vars(node)):
+        for clause, head, body, features in self._clauses.get(goal[0], ()):
             sigma = _unify(goal, head)
             if sigma is not None:
                 raw = query + body + rest
@@ -425,8 +415,7 @@ class Prover:
         bodies = self._open_heads.get((pred, e - o - 1))
         if bodies is None:
             goal = node[o + 1:e]
-            bodies = [body for _, head, body, _ in
-                      self._clauses_apart(pred, _num_vars(node))
+            bodies = [body for _, head, body, _ in self._clauses.get(pred, ())
                       if _unify(goal, head) is not None]
         if not bodies or (lone_like_start and not all(bodies)):
             return None

@@ -123,6 +123,36 @@ def test_train_refuses_groundings_of_other_queries(workspace, capsys):
         f"{swapped} line 2 about(b,X)\n")
 
 
+def test_train_names_both_files_when_the_record_count_differs(workspace,
+                                                              capsys):
+    groundings = workspace / "graphs.tsv"
+    assert run(["ground", *common(workspace), "--train",
+                workspace / "train.tsv", "--out", groundings]) == 0
+    first = workspace / "first.tsv"
+    first.write_text((workspace / "train.tsv").read_text().splitlines()[0])
+    capsys.readouterr()
+    assert run(["train", *common(workspace), "--train", first,
+                "--groundings", groundings]) == 2
+    assert capsys.readouterr().err == (
+        f"error\t{groundings} holds 2 groundings but {first} holds "
+        f"1 examples\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["answer", "--queries", "queries.txt"], ["ground", "--train", "train.tsv"],
+    ["train", "--train", "train.tsv"]])
+def test_rules_and_facts_conflict_ends_the_run_once(workspace, capsys,
+                                                    command):
+    # a predicate defined by rules and by facts is refused before any query
+    (workspace / "rules.pl").write_text("p(X) :- q(X).\n")
+    (workspace / "facts.tsv").write_text("p\ta\n")
+    name, flag, path = command
+    assert run([name, *common(workspace), flag, workspace / path]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error\t{workspace / 'rules.pl'} and {workspace / 'facts.tsv'}: "
+        f"predicate p/1 is defined both by rules and by database facts\n"))
+
+
 def test_train_then_answer_with_learned_params(workspace):
     params = workspace / "params.tsv"
     run(["train", *common(workspace), "--train", workspace / "train.tsv",

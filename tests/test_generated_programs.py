@@ -9,7 +9,8 @@ state, every state reached within a few steps is expanded by
 ``Prover.expand`` and by the reference of ``test_prover_ints``, which
 must give the same children, feature vectors and order.  At each,
 ``degree_lower_bound`` must not exceed the distinct targets, and grounding
-with it must give the p, r, graph and stats grounding without it gives.
+with it must give the p, r, graph and stats grounding without it gives,
+under LINEAR and under EXP weights.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from pprlog.grounder import (GroundingError, GroundingParams, Prover,
                              start_node)
 from pprlog.parser import parse_program
 from pprlog.terms import Atom, Const, Var, decode
-from pprlog.weights import LINEAR, ParameterVector
+from pprlog.weights import EXP, LINEAR, ParameterVector
 
 # the last three print quoted
 CONSTANTS = [Const(c) for c in ("a", "b", "Ab", "it's", "x y")]
@@ -145,10 +146,10 @@ def check_expansions(prover: Prover, facts: dict, node, start,
                 frontier.append(child)
 
 
-def ground(program, store, query, params, bounded: bool):
+def ground(program, store, query, params, bounded: bool, fn=LINEAR):
     v0 = start_node(query)
     expander = _ProverExpander(Prover(program, store), params,
-                               ParameterVector(), LINEAR, v0)
+                               ParameterVector(), fn, v0)
     p, r, g, stats = pagerank_nibble(
         v0, expander, params.alpha_prime, params.epsilon, params.node_budget,
         expander.lower_bound if bounded else None)
@@ -190,3 +191,20 @@ def test_prover_matches_reference_on_generated_programs(drawn):
             assert "non-ground feature" in str(e), e
             continue
         assert ground(program, store, query[0], params, True) == plain
+
+
+@settings(max_examples=60)
+@given(drawn=programs())
+def test_bound_keeps_exp_groundings_on_generated_programs(drawn):
+    # EXP weighs edges apart from LINEAR, so other states are pushed and
+    # other expansions skipped
+    rules, facts_text, states = drawn
+    program, store = parse_program(rules), load_facts(facts_text)
+    params = GroundingParams(epsilon=1e-3, node_budget=5000)
+    for query, _ in states:
+        try:
+            plain = ground(program, store, query[0], params, False, EXP)
+        except GroundingError as e:
+            assert "non-ground feature" in str(e), e
+            continue
+        assert ground(program, store, query[0], params, True, EXP) == plain
