@@ -10,9 +10,11 @@ Subcommands:
 * ``synth``  -- generate synthetic hyperlink or citation datasets
 
 All commands exit 0 on success; failures print a machine-parseable
-``error<TAB>message`` line to stderr and exit nonzero.  Per-query
-failures in ``answer``/``ground`` are recorded in the output and do not
-abort the run.
+``error<TAB>message`` line to stderr and exit nonzero.  Only ``answer``
+records a query that fails in its output and goes on; ``ground`` and
+``train`` end at the first example that fails to ground, naming the
+examples file, the line and the query (``ground`` writes no records,
+since ``train --groundings`` needs one record per example).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .facts import FactError, load_facts
 from .graph import deserialize, serialize
 from .grounder import GroundingParams, approximate_ground, ground_full
 from .inference import auc, average_precision, extract_answers, power_iterate
-from .learner import (SgdConfig, TrainingExample, ground_examples,
-                      label_grounding, train_on_groundings)
+from .learner import (SgdConfig, TrainingExample, label_grounding,
+                      train_on_groundings)
 from .parser import ParseError, ProgramError, parse_atom, parse_program
 from .weights import (WEIGHT_FNS, ParameterVector, left_sum, load_params,
                       save_params)
@@ -149,10 +151,26 @@ def cmd_answer(args) -> int:
     return 0
 
 
+def _ground_numbered(path, numbered, program, store, params, w, fn):
+    """Ground and label each ``(lineno, example)`` of the examples file
+    ``path``; the first that fails to ground ends the run, named by its
+    file, line and query."""
+    groundings = []
+    for lineno, ex in numbered:
+        try:
+            g, _, _ = approximate_ground(ex.query, program, store, params, w,
+                                         fn)
+        except Exception as e:
+            raise ValueError(f"{path} line {lineno}: {ex.query!r}: {e}"
+                             ) from None
+        groundings.append(label_grounding(ex, g))
+    return groundings
+
+
 def cmd_ground(args) -> int:
     program, store, params, w, fn = _setup(args)
-    examples = [ex for _, ex in _read_examples(args.train)]
-    groundings = ground_examples(examples, program, store, params, w, fn)
+    groundings = _ground_numbered(args.train, _read_examples(args.train),
+                                  program, store, params, w, fn)
     for lg in groundings:
         if not (lg.pos_nodes or lg.neg_nodes):
             print(f"warning\tno labeled solutions for {lg.example.query!r}",
@@ -187,7 +205,8 @@ def cmd_train(args) -> int:
         groundings = [label_grounding(ex, g)
                       for ex, g in zip(examples, graphs)]
     else:
-        groundings = ground_examples(examples, program, store, params, w, fn)
+        groundings = _ground_numbered(args.train, numbered, program, store,
+                                      params, w, fn)
     usable = [lg for lg in groundings if lg.usable]
     if not usable:
         print("error\tno usable training examples "

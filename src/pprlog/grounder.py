@@ -437,7 +437,8 @@ def _differs(node: ProofNode, i: int, start: ProofNode, j: int) -> bool:
 
 
 def transition_distribution(successors, restart_phi, w: ParameterVector,
-                            fn: WeightFn, alpha_prime: float, restart_target):
+                            fn: WeightFn, alpha_prime: float, restart_target,
+                            raw_of: Optional[dict[int, float]] = None):
     """Normalized outgoing distribution over successors plus the restart.
 
     ``successors`` is a list of (target, phi); the restart edge goes to
@@ -446,13 +447,22 @@ def transition_distribution(successors, restart_phi, w: ParameterVector,
     The restart weight is raised where needed so its probability never
     falls below alpha_prime.  Returns a list of (target, probability,
     phi) summing to 1, the restart last.
+
+    Each distinct phi object is weighed once.  ``raw_of`` maps ``id(phi)``
+    to the raw weight of phis weighed before, under the same ``w`` and
+    ``fn``, and gains the ones weighed now; a caller that passes it
+    across calls must keep every phi it weighed alive and unchanged.
     """
-    by_id = {id(phi): phi for _, phi in successors}  # shared phis weigh once
-    raw_of = {k: edge_weight(fn, w, phi) for k, phi in by_id.items()}
+    if raw_of is None:
+        raw_of = {}
+    for _, phi in successors:
+        if id(phi) not in raw_of:
+            raw_of[id(phi)] = edge_weight(fn, w, phi)
+    if id(restart_phi) not in raw_of:
+        raw_of[id(restart_phi)] = edge_weight(fn, w, restart_phi)
     raws = [raw_of[id(phi)] for _, phi in successors]
     s = left_sum(raws)
-    r0 = max(edge_weight(fn, w, restart_phi),
-             alpha_prime * s / (1.0 - alpha_prime))
+    r0 = max(raw_of[id(restart_phi)], alpha_prime * s / (1.0 - alpha_prime))
     z = s + r0
     out = [(t, g / z, phi) for (t, phi), g in zip(successors, raws)]
     out.append((restart_target, r0 / z, restart_phi))
@@ -484,7 +494,9 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     probability >= alpha_prime, its restart edge being the one whose phi
     holds ``RESTART_FEATURE``.  Returns (p, r, graph, stats): the mass
     approximation p, the residual r (both keyed by graph node ids), and a
-    GroundedGraph holding every edge examined by a push.
+    GroundedGraph holding every edge examined by a push.  p lists the
+    pushed nodes in first-push order, and r the nodes a push reached (and
+    the start) in the order it first reached them.
 
     On return, r[u] <= epsilon * |N(u)| for every node with an id, and
     the true walk mass is exact = p + sum_v r(v) * ppr_v, where ppr_v is
@@ -495,25 +507,30 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     reversible walks; proof graphs are directed, and there the error at
     u can exceed epsilon * |N(u)|.
 
-    A node is expanded when it is popped with r[u] > epsilon, and its
-    expansion is cached.  Only the start and the children of pushed
-    nodes get ids (when their parent is first pushed), plus any child
-    whose ``is_solution`` attribute is true (when its parent is
-    expanded); other children of an unpushed node are held in the cache
-    without an id.  So ``stats.nodes_discovered`` counts the nodes with
-    ids, and ``node_budget`` bounds those together with the distinct
-    states held in the cache.
+    A node is expanded once, when it is first popped with r[u] > epsilon
+    and above the bound below.  Only the start and the children of
+    pushed nodes get ids (when their parent is first pushed), plus any
+    child whose ``is_solution`` attribute is true (when its parent is
+    expanded); other children of an unpushed node are held without an
+    id.  So ``stats.nodes_discovered`` counts the nodes with ids, and
+    ``node_budget`` bounds those together with the distinct states held.
+    A node's first push turns its expansion into a push plan, its
+    (target id, share of the pushed residual) pairs, and raises
+    GroundingError if its restart probability is below alpha_prime.
 
     ``lower_bound(node)`` may return a number of distinct targets the
     node's expansion is certain to reach; the node is then not expanded
-    while r[u] <= epsilon * bound, since it could not be pushed.  It must
-    return None for a node that could have a solution child.  Under that
-    contract p, r, the graph and the stats are the same as without it.
+    while r[u] <= epsilon * bound, since it could not be pushed.  It is
+    called at most once per node, so it must depend on the node alone,
+    and it must return None for a node that could have a solution child.
+    Under that contract p, r, the graph and the stats are the same as
+    without it.
     """
     g = GroundedGraph()
     add_edge = g.edge_adder()
+    nodes = g.nodes
     ids: dict = {}          # payload -> node id
-    held: set = set()       # cached child states without an id
+    held: set = set()       # expanded children without an id
 
     def admit(n: int):
         if len(ids) + len(held) + n > node_budget:
@@ -521,86 +538,126 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
                 f"node budget {node_budget} exceeded; epsilon="
                 f"{epsilon} is too small for this budget")
 
-    def node_id(payload) -> int:
-        nid = ids.get(payload)
-        if nid is None:
-            if payload in held:
-                held.remove(payload)
-            else:
-                admit(1)
-            nid = g.add_node(payload)
-            ids[payload] = nid
+    # Per node id: its residual, its absorbed mass, whether it is on the
+    # stack, the residual it must exceed to be worked on (epsilon, or
+    # epsilon times its bound or degree if more) and its slot: None, its
+    # lower bound, its pending expansion [edges, degree] (edges hold
+    # target payloads) or, from its first push, its push plan
+    # (degree, [(target id, share), ...]).
+    res: list[float] = []
+    mass: list[float] = []
+    queued: list[bool] = []
+    limit: list[float] = []
+    slot: list = []
+    touched: list[int] = []         # the keys of r, in first-touch order
+    untouched: set[int] = set()     # solutions with an id and no residual
+    first: list[int] = []           # the keys of p, in first-push order
+
+    def new_id(payload) -> int:
+        nid = ids[payload] = len(nodes)
+        nodes.append(payload)
+        res.append(0.0)
+        mass.append(0.0)
+        queued.append(False)
+        limit.append(epsilon)
+        slot.append(None)
         return nid
 
-    v0 = node_id(start)
-    g.start = v0
-    # id -> (edges, |N(u)|); edges hold target payloads until u is first
-    # pushed, then target ids.
-    expanded: dict[int, tuple[list, int]] = {}
-    pushed: set[int] = set()
-    p: dict[int, float] = {}
-    r: dict[int, float] = {v0: 1.0}
-    stats = PushStats()
-    stack = [v0]
-    queued = {v0}
-
-    def expand_node(u: int):
-        edges = expand(g.nodes[u])
-        for t, *_ in edges:
-            if getattr(t, "is_solution", False):
-                node_id(t)
-        targets = {t for t, *_ in edges}
-        new = targets.difference(ids, held)
-        admit(len(new))
-        held.update(new)
-        entry = expanded[u] = (edges, len(targets))
-        return entry
-
-    while stack:
-        u = stack.pop()
-        queued.discard(u)
-        ru = r.get(u, 0.0)
-        if ru <= epsilon:
-            continue
-        entry = expanded.get(u)
-        if entry is None:
-            lo = lower_bound(g.nodes[u]) if lower_bound else None
+    def plan_of(u: int, ru: float):
+        """u's push plan, made now, or None if ``ru`` cannot push u."""
+        pending = slot[u]
+        if pending is None and lower_bound is not None:
+            lo = slot[u] = lower_bound(nodes[u])
             if lo is not None and ru <= epsilon * lo:
-                continue
-            entry = expand_node(u)
-        edges, degree = entry
-        if ru <= epsilon * degree:
-            continue
-        # Push: absorb an alpha' fraction, spread the rest over the
-        # restart-adjusted distribution (the restart gives up alpha').
-        if u not in pushed:
-            pushed.add(u)
-            edges = [(node_id(t), prob, phi) for t, prob, phi in edges]
-            expanded[u] = (edges, degree)
-            for dst, _, phi in edges:
-                add_edge(u, dst, phi)
-        stats.pushes += 1
-        stats.degree_sum += degree
-        p[u] = p.get(u, 0.0) + alpha_prime * ru
-        r[u] = 0.0
-        for dst, prob, phi in edges:
+                limit[u] = epsilon * lo
+                return None
+        if pending.__class__ is not list:
+            edges = expand(nodes[u])
+            targets = dict.fromkeys([t for t, _, _ in edges])
+            for t in targets:
+                if t not in ids and getattr(t, "is_solution", False):
+                    if t in held:
+                        held.remove(t)
+                    else:
+                        admit(1)
+                    untouched.add(new_id(t))
+            new = set(targets).difference(ids, held)
+            admit(len(new))
+            held.update(new)
+            pending = slot[u] = [edges, len(targets)]
+            bar = epsilon * len(targets)
+            limit[u] = max(epsilon, bar)
+            if ru <= bar:
+                return None
+        edges, degree = pending
+        pairs = []
+        for t, prob, phi in edges:
+            dst = ids.get(t)
+            if dst is None:
+                held.remove(t)
+                dst = new_id(t)
+                touched.append(dst)
+            elif dst in untouched:
+                untouched.remove(dst)
+                touched.append(dst)
+            add_edge(u, dst, phi)
+            # the restart gives up alpha'
             share = (prob - alpha_prime) if RESTART_FEATURE in phi else prob
             if share < -1e-12:
                 raise GroundingError(
                     f"restart probability {prob} below alpha_prime="
-                    f"{alpha_prime} at node {g.nodes[u]!r}")
-            r[dst] = r.get(dst, 0.0) + share * ru
-            if r[dst] > epsilon and dst not in queued:
-                stack.append(dst)
-                queued.add(dst)
+                    f"{alpha_prime} at node {nodes[u]!r}")
+            pairs.append((dst, share))
+        first.append(u)
+        plan = slot[u] = (degree, pairs)
+        return plan
 
-    stats.nodes_discovered = g.num_nodes
-    stats.residual_mass = left_sum(r.values())
-    return p, r, g, stats
+    admit(1)
+    v0 = g.start = new_id(start)
+    res[v0] = 1.0
+    touched.append(v0)
+    pushes = degree_sum = 0
+    stack = [v0]
+    queued[v0] = True
+    pop, push = stack.pop, stack.append
+
+    while stack:
+        u = pop()
+        queued[u] = False
+        ru = res[u]
+        if ru <= limit[u]:
+            continue
+        plan = slot[u]
+        if plan.__class__ is not tuple:
+            plan = plan_of(u, ru)
+            if plan is None:
+                continue
+        # Push: absorb an alpha' fraction, spread the rest by the plan.
+        degree, pairs = plan
+        pushes += 1
+        degree_sum += degree
+        mass[u] += alpha_prime * ru
+        res[u] = 0.0
+        for dst, share in pairs:
+            x = res[dst] = res[dst] + share * ru
+            if x > epsilon and not queued[dst]:
+                push(dst)
+                queued[dst] = True
+
+    r = {u: res[u] for u in touched}
+    stats = PushStats(pushes=pushes, degree_sum=degree_sum,
+                      nodes_discovered=len(nodes),
+                      residual_mass=left_sum(r.values()))
+    return {u: mass[u] for u in first}, r, g, stats
 
 
 class _ProverExpander:
-    """A Prover's edges for ``ground_full`` and the push loop's expander."""
+    """A Prover's edges for ``ground_full`` and the push loop's expander.
+
+    The expander weighs each feature dict once per grounding: ``w`` and
+    ``fn`` are fixed for the grounding, and the prover gives out one dict
+    per distinct vector and holds it, so ``raw_of`` (``id(phi)`` -> raw
+    weight) stays sound while the expander lives."""
 
     def __init__(self, prover: Prover, params: GroundingParams,
                  w: ParameterVector, fn: WeightFn, v0: ProofNode):
@@ -611,6 +668,7 @@ class _ProverExpander:
         self.v0 = v0
         self.loop_phi = prover.vector(((SELF_LOOP_FEATURE, 1.0),))
         self.loop_restart_phi = prover.vector(((RESTART_FEATURE, 1.0),))
+        self.raw_of: dict[int, float] = {}
 
     def successors(self, node: ProofNode):
         """(successors, restart_phi) of ``node``; a solution self-loops."""
@@ -622,7 +680,7 @@ class _ProverExpander:
     def __call__(self, node: ProofNode):
         return transition_distribution(*self.successors(node), self.w,
                                        self.fn, self.params.alpha_prime,
-                                       restart_target=self.v0)
+                                       self.v0, self.raw_of)
 
     def lower_bound(self, node: ProofNode) -> Optional[int]:
         return self.prover.degree_lower_bound(node, self.v0)

@@ -279,6 +279,37 @@ def test_ground_writes_quoted_feature_name(tmp_path):
     assert "by('a)b')" in load_params(weights.read_text())
 
 
+def test_ground_names_the_example_that_fails(tmp_path, capsys):
+    # a record cannot stand for a failed grounding, so the run ends at
+    # the failing example and writes none
+    (tmp_path / "rules.pl").write_text("p(X,Y) :- q(X,Y) # f(Z).")
+    (tmp_path / "facts.tsv").write_text("q\ta\tb\n")
+    train = tmp_path / "train.tsv"
+    train.write_text("r(a,Y)\t+r(a,b)\n\np(a,Y)\t+p(a,b)\n")
+    out = tmp_path / "graphs.tsv"
+    assert run(["ground", "--rules", tmp_path / "rules.pl", "--facts",
+                tmp_path / "facts.tsv", "--train", train, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error\t{train} line 3: p(a,Y): non-ground "
+                          f"feature f(")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_train_names_the_example_that_fails_to_ground(tmp_path, capsys):
+    (tmp_path / "rules.pl").write_text("p(X,Y) :- q(X,Y) # f(Z).")
+    (tmp_path / "facts.tsv").write_text("q\ta\tb\n")
+    train = tmp_path / "train.tsv"
+    train.write_text("r(a,Y)\t+r(a,b)\n\np(a,Y)\t+p(a,b)\n")
+    out = tmp_path / "w.tsv"
+    assert run(["train", "--rules", tmp_path / "rules.pl", "--facts",
+                tmp_path / "facts.tsv", "--train", train,
+                "--params-out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error\t{train} line 3: p(a,Y): non-ground "
+                          f"feature f(")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def test_answer_rejects_negative_horizon(workspace, capsys):
     code = run(["answer", *common(workspace), "--queries",
                 workspace / "queries.txt", "--exact", "--max-t", "-1"])

@@ -10,7 +10,8 @@ state, every state reached within a few steps is expanded by
 must give the same children, feature vectors and order.  At each,
 ``degree_lower_bound`` must not exceed the distinct targets, and grounding
 with it must give the p, r, graph and stats grounding without it gives,
-under LINEAR and under EXP weights.
+under LINEAR and under EXP weights.  Each grounding's record, its
+answers named, must read back to itself through ``deserialize``.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -18,10 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 from test_prover_ints import (NonGroundFeature, ref_expand, ref_node,
                               relations)
 from pprlog.facts import load_facts
-from pprlog.graph import serialize
+from pprlog.graph import deserialize, serialize
 from pprlog.grounder import (GroundingError, GroundingParams, Prover,
-                             _ProverExpander, make_node, pagerank_nibble,
-                             start_node)
+                             _name_answers, _ProverExpander, make_node,
+                             pagerank_nibble, start_node)
 from pprlog.parser import parse_program
 from pprlog.terms import Atom, Const, Var, decode
 from pprlog.weights import EXP, LINEAR, ParameterVector
@@ -147,13 +148,18 @@ def check_expansions(prover: Prover, facts: dict, node, start,
 
 
 def ground(program, store, query, params, bounded: bool, fn=LINEAR):
+    """(p, r, record, stats) of grounding ``query``, its answers named;
+    the record must read back to itself."""
     v0 = start_node(query)
     expander = _ProverExpander(Prover(program, store), params,
                                ParameterVector(), fn, v0)
     p, r, g, stats = pagerank_nibble(
         v0, expander, params.alpha_prime, params.epsilon, params.node_budget,
         expander.lower_bound if bounded else None)
-    return p, r, serialize(g), stats
+    _name_answers(g, query)
+    record = serialize(g)
+    assert serialize(deserialize(record)[0]) == record
+    return p, r, record, stats
 
 
 X, Y = VARIABLES[:2]
