@@ -13,7 +13,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,23 +86,17 @@ class GroundedGraph:
         self.dst.append(dst)
         self.phi_id.append(self._intern(phi))
 
-    def edge_adder(self) -> Callable[[int, int, FeatureVector], None]:
-        """``add_edge`` for a caller that passes each distinct vector as
-        one dict object: a dict is interned on its first edge, and later
-        edges find its entry by ``id``.  The adder holds every dict it was
-        given, so no ``id`` is reused while it lives; none of them may
-        change meanwhile."""
-        entries: dict[int, tuple[int, FeatureVector]] = {}
-        src, dst, phi_id = self.src.append, self.dst.append, self.phi_id.append
-
-        def add(u: int, v: int, phi: FeatureVector):
-            entry = entries.get(id(phi))
-            if entry is None:
-                entry = entries[id(phi)] = (self._intern(phi), phi)
-            src(u)
-            dst(v)
-            phi_id(entry[0])
-        return add
+    def add_edges(self, src, dst, phis):
+        """Add the edges ``src[i] -> dst[i]`` with the vectors ``phis[i]``
+        in order, for a caller that passes each distinct vector as one
+        dict object: each dict is interned once, on its first edge, and
+        its later edges find its entry by ``id`` (every dict is held by
+        ``phis`` meanwhile, so no ``id`` is reused)."""
+        first = dict(zip(map(id, phis), phis))      # in first-use order
+        entry = {i: self._intern(phi) for i, phi in first.items()}
+        self.src.extend(src)
+        self.dst.extend(dst)
+        self.phi_id.extend(map(entry.__getitem__, map(id, phis)))
 
     def _intern(self, phi: FeatureVector) -> int:
         """The index of ``phi`` in ``phis``, adding it if it is new.  The

@@ -223,9 +223,13 @@ class Prover:
     Each clause is compiled once to int-coded atoms, its body laid out
     flat as in a ``ProofNode`` and its variables numbered at or below
     ``-APART``; a state's variables are -1..-n, so every clause is apart
-    from every state as it stands.  Database goals are expanded through
-    row templates (see ``_row_template``), compiled once per prover for
-    each state shape and goal place.
+    from every state as it stands.  ``step`` expands a state in one call
+    and gives its restart vector with its successors.  Database goals are
+    expanded through row templates (see ``_row_template``), compiled once
+    per prover for each state shape and goal place, and goals of
+    predicates whose clause heads are all distinct variables through rule
+    templates (see ``_rule_step``), compiled for each predicate, state
+    shape and goal place.
     """
 
     def __init__(self, program: Program, store: FactStore):
@@ -259,8 +263,13 @@ class Prover:
                 self._units[key] = (cs, itemgetter(0, *sorted(set(used))), {})
         # (goal place, state shape) -> its row template
         self._templates: dict[tuple, itemgetter] = {}
+        # (predicate, goal place, state shape) -> its rule step, or None
+        # where the general clause path expands such states
+        self._rule_steps: dict[tuple, Optional[tuple]] = {}
         self._feature_names: dict[IntAtom, str] = {}
         self._vectors: dict[tuple, FeatureVector] = {}   # items -> its dict
+        self._db_once = self.vector(((DB_FEATURE, 1.0),))
+        self._unit_restart = self.vector(((RESTART_FEATURE, 1.0),))
 
     def vector(self, items: tuple) -> FeatureVector:
         """The one dict this prover gives out for the feature vector of
@@ -290,6 +299,94 @@ class Prover:
             self._feature_names[feat] = name
         return name
 
+    def _phi(self, clause: Clause, features, s: dict[int, int],
+             node: ProofNode) -> FeatureVector:
+        """The features of ``clause`` applied to ``node`` under the
+        substitution ``s`` of its variables, each counted once per
+        occurrence."""
+        phi: FeatureVector = {}
+        for feat in features:
+            name = self._feature_name(tuple(map(s.get, feat, feat)), clause,
+                                      node)
+            phi[name] = phi.get(name, 0.0) + 1.0
+        return phi
+
+    def step(self, node: ProofNode, alpha: Optional[float]):
+        """(successors, restart vector) of a non-solution node.
+
+        The successors are what ``expand`` gives.  The restart vector
+        holds defRestart = n * alpha/(1-alpha) for a database goal with n
+        matching rows, counted from the rows this step matched, so that
+        with unit weights the normalized restart probability is exactly
+        alpha; a rule goal gets the prover's one unit defRestart.  n = 0
+        yields a zero weight that the restart floor later replaces,
+        making the dead end restart-only.  With ``alpha`` None a database
+        goal gets no restart vector.
+        """
+        o = 1 + node[0]
+        if o == len(node):
+            raise ValueError("solution nodes have no subgoals to expand")
+        e = o + 2 + node[o]
+        goal = node[o + 1:e]
+        if goal[0] in self.store.tuples:
+            key = (o, e, _shape(node))
+            template = self._templates.get(key)
+            if template is None:
+                template = self._templates[key] = _row_template(node, o, e)
+            rows = self.store.match(goal)
+            # every match has the features {db: 1.0}: children merge by state
+            counts = Counter(map(template, map(add, rows, repeat(node))))
+            once = self._db_once
+            successors = [(ProofNode(child), once if k == 1
+                           else self.vector(((DB_FEATURE, float(k)),)))
+                          for child, k in counts.items()]
+            if alpha is None:
+                return successors, None
+            return successors, self.vector(
+                ((RESTART_FEATURE, len(rows) * alpha / (1.0 - alpha)),))
+        pred = (goal[0], len(goal))
+        unit = self._units.get(pred)
+        if unit is not None and min(goal) >= 0:
+            clauses, args, vectors = unit
+            key = args(goal)
+            phis = vectors.get(key)
+            if phis is None:
+                phis = vectors[key] = [phi for _, phi in self._merge(
+                    [(None, self._phi(clause, features, dict(zip(head, goal)),
+                                      node))
+                     for clause, head, features in clauses])]
+            child = ProofNode(node[:o] + node[e:])
+            return [(child, phi) for phi in phis], self._unit_restart
+        if pred in self._open_heads:
+            key = (goal[0], o, e, _shape(node))
+            try:
+                compiled = self._rule_steps[key]
+            except KeyError:
+                compiled = self._rule_steps[key] = self._rule_step(node, o, e)
+            if compiled is not None:
+                extra, steps, args, vectors = compiled
+                flat = node + extra
+                children = [ProofNode(child(flat)) for _, _, _, child in steps]
+                key = args(node)
+                phis = vectors.get(key)
+                if phis is None:
+                    phis = vectors[key] = [self.vector(tuple(self._phi(
+                        clause, features, {h: node[i] for h, i in
+                                           source.items()}, node).items()))
+                        for clause, features, source, _ in steps]
+                if len(set(children)) == len(children):  # nothing merges
+                    return list(zip(children, phis)), self._unit_restart
+                return self._merge(zip(children, phis)), self._unit_restart
+        query, rest = node[:o], node[e:]
+        steps = []
+        for clause, head, body, features in self._clauses.get(goal[0], ()):
+            sigma = _unify(goal, head)
+            if sigma is not None:
+                raw = query + body + rest
+                steps.append((_state(raw, _renaming(raw, sigma)),
+                              self._phi(clause, features, sigma, node)))
+        return self._merge(steps), self._unit_restart
+
     def expand(self, node: ProofNode) -> list[tuple[ProofNode, FeatureVector]]:
         """Successors of a non-solution node, excluding the restart edge.
 
@@ -309,55 +406,66 @@ class Prover:
         unit-rule step: every clause matches, binding its head to the
         goal, and leaves the node without the goal.  That node is the one
         child, canonical as it stands since the goal held no variable, and
-        no unifier or renaming is built.
+        no unifier or renaming is built.  Any other goal of a predicate
+        whose clause heads are all distinct variables takes the rule
+        templates of ``_rule_step``.  This is ``step`` without the restart.
         """
-        if node.is_solution:
-            raise ValueError("solution nodes have no subgoals to expand")
-        o, e = _goal_span(node)
-        goal = node[o + 1:e]
-        if goal[0] in self.store.tuples:
-            key = (o, e, _shape(node))
-            template = self._templates.get(key)
-            if template is None:
-                template = self._templates[key] = _row_template(node, o, e)
-            # every match has the features {db: 1.0}: children merge by state
-            counts = Counter(map(ProofNode, map(template, map(
-                add, self.store.match(goal), repeat(node)))))
-            once = self.vector(((DB_FEATURE, 1.0),))
-            return [(child, once if k == 1
-                     else self.vector(((DB_FEATURE, float(k)),)))
-                    for child, k in counts.items()]
-        unit = self._units.get((goal[0], len(goal)))
-        if unit is not None and min(goal) >= 0:
-            clauses, args, vectors = unit
-            key = args(goal)
-            phis = vectors.get(key)
-            if phis is None:
-                phis = vectors[key] = [phi for _, phi in self._merge(
-                    node, [(None, clause, dict(zip(head, goal)), features)
-                           for clause, head, features in clauses])]
-            child = ProofNode(node[:o] + node[e:])
-            return [(child, phi) for phi in phis]
-        query, rest = node[:o], node[e:]
-        steps = []
-        for clause, head, body, features in self._clauses.get(goal[0], ()):
-            sigma = _unify(goal, head)
-            if sigma is not None:
-                raw = query + body + rest
-                steps.append((_state(raw, _renaming(raw, sigma)), clause,
-                              sigma, features))
-        return self._merge(node, steps)
+        return self.step(node, None)[0]
 
-    def _merge(self, node: ProofNode, steps):
-        """(child, phi) for the (child, clause, sigma, features) of each
-        clause applied to ``node``, parallel edges merged."""
+    def _rule_step(self, node: ProofNode, o: int, e: int) -> Optional[tuple]:
+        """The compiled step for the goal ``node[o:e]``, of a predicate
+        whose clause heads are all distinct variables, and every state of
+        ``node``'s shape with a goal of that predicate there; None if some
+        clause's features are not ground on such states.
+
+        Every head unifies with the goal, and the unifier binds a head
+        variable to the goal's constant or to a goal variable only by the
+        place it has in the head.  So, as in ``_row_template``, each int of
+        a child is one item of ``node + extra``, where ``extra`` holds the
+        clause's own ints and the renamed variables -k, alike for every
+        state of the shape.  Returns (extra, steps, args, vectors): per
+        clause (clause, features, source, child template), with
+        ``source`` mapping each head variable bound to a goal constant to
+        that constant's place in the state; ``args(node)`` picks the goal
+        constants the features use, and ``vectors`` maps those to the
+        clauses' vectors once worked out.  The key holds the predicate,
+        since the shape does not: two predicates' goals of one shape take
+        other clauses.  A clause variable left free in a feature would be
+        a variable on every such state; the general path then raises the
+        error, naming it by its name in the clause.
+        """
+        goal = node[o + 1:e]
+        fixed: dict[int, int] = {}      # an int of extra -> its item index
+
+        def pick(a: int) -> int:
+            return fixed.setdefault(a, len(node) + len(fixed))
+        steps = []
+        used: set[int] = set()
+        for clause, head, body, features in self._clauses[goal[0]]:
+            sigma = _unify(goal, head)
+            source = {h: o + 1 + j for j, h in enumerate(head)
+                      if j and goal[j] >= 0}
+            for a in chain.from_iterable(features):
+                if a < 0:
+                    if a not in source:
+                        return None
+                    used.add(source[a])
+            raw = node[:o] + body + node[e:]
+            m = _renaming(raw, sigma)
+            picks = [i if a >= 0 else pick(m[a])
+                     for i, a in enumerate(node[:o])]
+            picks += [pick(a) if a >= 0 else source[a] if a in source
+                      else pick(m[a]) for a in body]
+            picks += [i if a >= 0 else pick(m[a])
+                      for i, a in enumerate(node[e:], e)]
+            steps.append((clause, features, source, itemgetter(*picks)))
+        return tuple(fixed), steps, itemgetter(o + 1, *sorted(used)), {}
+
+    def _merge(self, steps):
+        """(child, phi) for the (child, phi) of each clause applied to a
+        node, parallel edges merged."""
         merged: dict[tuple, list] = {}
-        for child, clause, sigma, features in steps:
-            phi: FeatureVector = {}
-            for feat in features:
-                name = self._feature_name(tuple(map(sigma.get, feat, feat)),
-                                          clause, node)
-                phi[name] = phi.get(name, 0.0) + 1.0
+        for child, phi in steps:
             merged.setdefault((child, tuple(sorted(phi.items()))),
                               [child, phi, 0])[2] += 1
         return [(child, self.vector(tuple([(k, v * mult)
@@ -365,18 +473,14 @@ class Prover:
                 for child, phi, mult in merged.values()]
 
     def restart_features(self, node: ProofNode, alpha: float) -> FeatureVector:
-        """Restart-edge features for a non-solution node.
-
-        Database goals get defRestart = n * alpha/(1-alpha) so that with
-        unit weights the normalized restart probability is exactly alpha;
-        rule goals get a unit defRestart.  n = 0 yields a zero weight that
-        the restart floor later replaces, making the dead end restart-only.
-        """
+        """Restart-edge features for a non-solution node: the restart
+        vector ``step`` gives, its database count from ``binding_count``
+        without building the rows."""
         o, e = _goal_span(node)
         if node[o + 1] in self.store.tuples:
             n = self.store.binding_count(node[o + 1:e])
             return self.vector(((RESTART_FEATURE, n * alpha / (1.0 - alpha)),))
-        return self.vector(((RESTART_FEATURE, 1.0),))
+        return self._unit_restart
 
     def degree_lower_bound(self, node: ProofNode,
                            start: ProofNode) -> Optional[int]:
@@ -527,7 +631,6 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     without it.
     """
     g = GroundedGraph()
-    add_edge = g.edge_adder()
     nodes = g.nodes
     ids: dict = {}          # payload -> node id
     held: set = set()       # expanded children without an id
@@ -552,6 +655,10 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     touched: list[int] = []         # the keys of r, in first-touch order
     untouched: set[int] = set()     # solutions with an id and no residual
     first: list[int] = []           # the keys of p, in first-push order
+    # the edges of the push plans, added to g at the end
+    edge_src: list[int] = []
+    edge_dst: list[int] = []
+    edge_phi: list = []
 
     def new_id(payload) -> int:
         nid = ids[payload] = len(nodes)
@@ -600,7 +707,6 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
             elif dst in untouched:
                 untouched.remove(dst)
                 touched.append(dst)
-            add_edge(u, dst, phi)
             # the restart gives up alpha'
             share = (prob - alpha_prime) if RESTART_FEATURE in phi else prob
             if share < -1e-12:
@@ -608,6 +714,9 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
                     f"restart probability {prob} below alpha_prime="
                     f"{alpha_prime} at node {nodes[u]!r}")
             pairs.append((dst, share))
+            edge_phi.append(phi)
+        edge_src.extend(repeat(u, len(pairs)))
+        edge_dst.extend(map(itemgetter(0), pairs))
         first.append(u)
         plan = slot[u] = (degree, pairs)
         return plan
@@ -644,6 +753,7 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
                 push(dst)
                 queued[dst] = True
 
+    g.add_edges(edge_src, edge_dst, edge_phi)
     r = {u: res[u] for u in touched}
     stats = PushStats(pushes=pushes, degree_sum=degree_sum,
                       nodes_discovered=len(nodes),
@@ -671,11 +781,11 @@ class _ProverExpander:
         self.raw_of: dict[int, float] = {}
 
     def successors(self, node: ProofNode):
-        """(successors, restart_phi) of ``node``; a solution self-loops."""
+        """(successors, restart_phi) of ``node``, from one prover step; a
+        solution self-loops."""
         if node.is_solution:
             return [(node, self.loop_phi)], self.loop_restart_phi
-        return (self.prover.expand(node),
-                self.prover.restart_features(node, self.params.alpha))
+        return self.prover.step(node, self.params.alpha)
 
     def __call__(self, node: ProofNode):
         return transition_distribution(*self.successors(node), self.w,
@@ -715,34 +825,54 @@ def ground_full(query: Atom, program: Program, store: FactStore,
     Breadth-first expansion; nodes first reached at depth max_T are kept
     as frontier nodes but not expanded.  Node depths are recorded in
     ``graph.depths`` (id -> SLD depth).  ``w`` and ``fn`` are unused.
+
+    Ids are given in breadth-first order, so the nodes of one depth are
+    a run of ids, the frontier is the run last given and the states live
+    only in ``graph.nodes``; depths are written a level at a time, and
+    the edges go into the graph in one call at the end.  A state is read
+    only through the expander's ``successors`` (one prover step) and, as
+    answers are named, its ``is_solution`` and ``answer_text``.
+    ``tests/full_reference.py`` keeps the loop that held (state, id)
+    pairs as an oracle.
     """
     v0 = start_node(query)
-    expander = _ProverExpander(Prover(program, store), params, w, fn, v0)
+    successors = _ProverExpander(Prover(program, store), params, w, fn,
+                                 v0).successors
     g = GroundedGraph()
-    add_edge = g.edge_adder()
-    ids = {v0: g.add_node(v0)}
-    g.depths[0] = 0
-    frontier = [(v0, 0)]
-    for depth in range(params.max_T):
-        if not frontier:
-            break
-        nxt = []
-        for node, u in frontier:
-            successors, restart_phi = expander.successors(node)
-            for target, phi in successors:
+    nodes = g.nodes
+    nodes.append(v0)
+    ids = {v0: 0}
+    depths = g.depths
+    depths[0] = 0
+    budget = params.node_budget
+    src: list[int] = []
+    dst: list[int] = []
+    phis: list[FeatureVector] = []
+    add_dst, add_phi = dst.append, phis.append
+    lo, hi = 0, 1       # the frontier: ids lo..hi-1
+    for depth in range(1, params.max_T + 1):
+        for u in range(lo, hi):
+            children, restart_phi = successors(nodes[u])
+            for target, phi in children:
                 nid = ids.get(target)
                 if nid is None:
-                    if len(ids) >= params.node_budget:
+                    nid = len(nodes)
+                    if nid >= budget:
                         raise BudgetError(
-                            f"node budget {params.node_budget} exceeded "
-                            f"grounding {query!r}")
-                    nid = g.add_node(target)
+                            f"node budget {budget} exceeded grounding "
+                            f"{query!r}")
                     ids[target] = nid
-                    g.depths[nid] = depth + 1
-                    nxt.append((target, nid))
-                add_edge(u, nid, phi)
-            add_edge(u, g.start, restart_phi)
-        frontier = nxt
+                    nodes.append(target)
+                add_dst(nid)
+                add_phi(phi)
+            add_dst(0)
+            add_phi(restart_phi)
+            src.extend(repeat(u, len(children) + 1))
+        lo, hi = hi, len(nodes)
+        if lo == hi:
+            break
+        depths.update(zip(range(lo, hi), repeat(depth)))
+    g.add_edges(src, dst, phis)
     _name_answers(g, query)
     return g
 

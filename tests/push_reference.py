@@ -17,7 +17,6 @@ def reference_nibble(start, expand, alpha_prime: float, epsilon: float,
                      node_budget: int = 2_000_000, lower_bound=None):
     """``pagerank_nibble``'s (p, r, graph, stats) for the same arguments."""
     g = GroundedGraph()
-    add_edge = g.edge_adder()
     ids: dict = {}          # payload -> node id
     held: set = set()       # cached child states without an id
 
@@ -82,7 +81,7 @@ def reference_nibble(start, expand, alpha_prime: float, epsilon: float,
             edges = [(node_id(t), prob, phi) for t, prob, phi in edges]
             expanded[u] = (edges, degree)
             for dst, _, phi in edges:
-                add_edge(u, dst, phi)
+                g.add_edge(u, dst, phi)
         stats.pushes += 1
         stats.degree_sum += degree
         p[u] = p.get(u, 0.0) + alpha_prime * ru

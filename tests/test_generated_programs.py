@@ -7,22 +7,27 @@ features over head variables, constants that print quoted, and proof
 states of up to a dozen subgoals.  From each drawn state and each start
 state, every state reached within a few steps is expanded by
 ``Prover.expand`` and by the reference of ``test_prover_ints``, which
-must give the same children, feature vectors and order.  At each,
-``degree_lower_bound`` must not exceed the distinct targets, and grounding
-with it must give the p, r, graph and stats grounding without it gives,
-under LINEAR and under EXP weights.  Each grounding's record, its
+must give the same children, feature vectors and order; ``Prover.step``
+must give them with the restart vector ``restart_features`` gives.  At
+each, ``degree_lower_bound`` must not exceed the distinct targets, and
+grounding with it must give the p, r, graph and stats grounding without
+it gives, under LINEAR and under EXP weights.  Each grounding's record, its
 answers named, must read back to itself through ``deserialize``.
+``ground_full`` must give what the loop of ``full_reference`` gives, and
+where it finishes inside ``max_T``, exact walk mass minus p must lie in
+[0, R] at every pushed state (see ``test_full_reference``).
 """
 
 from hypothesis import example, given, settings, strategies as st
 
+from test_full_reference import assert_same, assert_within_residual
 from test_prover_ints import (NonGroundFeature, ref_expand, ref_node,
                               relations)
 from pprlog.facts import load_facts
 from pprlog.graph import deserialize, serialize
-from pprlog.grounder import (GroundingError, GroundingParams, Prover,
-                             _name_answers, _ProverExpander, make_node,
-                             pagerank_nibble, start_node)
+from pprlog.grounder import (BudgetError, GroundingError, GroundingParams,
+                             Prover, _name_answers, _ProverExpander,
+                             make_node, pagerank_nibble, start_node)
 from pprlog.parser import parse_program
 from pprlog.terms import Atom, Const, Var, decode
 from pprlog.weights import EXP, LINEAR, ParameterVector
@@ -134,6 +139,9 @@ def check_expansions(prover: Prover, facts: dict, node, start,
         successors = prover.expand(node)
         assert decoded(successors) == [((c.query, c.subgoals), phi)
                                        for c, phi in ref], node
+        # the one step per state gives both halves
+        assert prover.step(node, 0.2) == (
+            successors, prover.restart_features(node, 0.2)), node
         compared += 1
         targets = {child for child, _ in successors} | {start}
         bound = prover.degree_lower_bound(node, start)
@@ -197,6 +205,14 @@ def test_prover_matches_reference_on_generated_programs(drawn):
             assert "non-ground feature" in str(e), e
             continue
         assert ground(program, store, query[0], params, True) == plain
+    full_params = GroundingParams(epsilon=1e-3, max_T=10, node_budget=300)
+    for query, _ in states:
+        assert_same(query[0], program, store, full_params)
+        try:
+            assert_within_residual(query[0], program, store, full_params)
+        except GroundingError as e:
+            assert (isinstance(e, BudgetError)
+                    or "non-ground feature" in str(e)), e
 
 
 @settings(max_examples=60)

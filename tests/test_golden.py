@@ -34,6 +34,8 @@ GOLDEN = {
         "e9e2e62adf8c75a27edb91ab13a9d77b4281dba0034872bc9480146ff872a4f5",
     "hyperlink-exact":
         "a6f5ee02247fc904875c14987c35c051209a5977802377ed626488cd7e39e670",
+    "citation-exact":
+        "a04afe85c72ec5e3d8fbf22faa5e2180d1aa2c29b19ac2c6cbae31e6f296577b",
 }
 # rows, posting lists, arities and duplicate count of the seed-0 toy
 # hyperlink and citation facts
@@ -64,11 +66,17 @@ def _approximate(program, store, queries):
         yield repr(stats)
 
 
-def _exact(program, store, queries):
+def _exact(program, store, queries, params=PARAMS):
     for q in queries:
-        g = ground_full(q, program, store, PARAMS)
+        g = ground_full(q, program, store, params)
         yield serialize(g)
         yield repr(sorted(g.depths.items()))
+
+
+def _citation_exact():
+    """Breadth-first grounding over the recursive citation rules."""
+    program, store, queries = _citation()
+    return _exact(program, store, queries[:3], GroundingParams(max_T=10))
 
 
 def _store(store):
@@ -92,6 +100,7 @@ CASES = {
     # full-size citation states hold up to 9 subgoals
     "citation-8": lambda: _approximate(*_citation(8)),
     "hyperlink-exact": lambda: _exact(*_hyperlink(30, 3)),
+    "citation-exact": _citation_exact,
 }
 
 

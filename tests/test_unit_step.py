@@ -41,9 +41,10 @@ def dataset(task: str, seed: int):
 
 def general_path(prover: Prover) -> Prover:
     """A prover like ``prover`` whose every rule goal takes the general
-    clause path."""
+    clause path: no unit step and no rule templates."""
     general = Prover(prover.program, prover.store)
     general._units = {}
+    general._open_heads = {}
     return general
 
 
@@ -167,12 +168,14 @@ def test_identity_interning_matches_repr_interning(full):
     assert by_repr.phi_id == g.phi_id
 
 
-def test_edge_adder_keys_fresh_dicts_by_repr():
+def test_add_edges_keys_fresh_dicts_by_repr():
     g = GroundedGraph()
     g.add_node()
-    add = g.edge_adder()
     shared = {"f": 1.0}
-    for phi in (shared, {"f": 1.0}, shared, {"f": 1}, {"g": 1.0}, shared):
-        add(0, 0, phi)
+    phis = [shared, {"f": 1.0}, shared, {"f": 1}, {"g": 1.0}, shared]
+    g.add_edges([0] * 6, [0] * 6, phis)
     assert g.phis == [(("f", 1.0),), (("f", 1),), (("g", 1.0),)]
     assert list(g.phi_id) == [0, 0, 0, 1, 2, 0]
+    # a later call finds the entries of equal dicts by repr
+    g.add_edges([0, 0], [0, 0], [{"g": 1.0}, shared])
+    assert list(g.phi_id)[6:] == [2, 0] and len(g.phis) == 3
