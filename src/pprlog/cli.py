@@ -49,8 +49,12 @@ def _add_common(p: argparse.ArgumentParser):
 def _weighting(args):
     """The grounding parameters, weights and weighting function."""
     params = GroundingParams(args.alpha, args.alpha_prime, args.epsilon)
-    w = (load_params(Path(args.params_in).read_text())
-         if args.params_in else ParameterVector())
+    w = ParameterVector()
+    if args.params_in:
+        try:
+            w = load_params(Path(args.params_in).read_text())
+        except ValueError as e:
+            raise ValueError(f"{args.params_in} {e}") from None
     return params, w, WEIGHT_FNS[args.weightfn]
 
 

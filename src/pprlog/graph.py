@@ -32,10 +32,6 @@ class Edge(NamedTuple):
     dst: int
     phi: FeatureVector
 
-    @property
-    def is_restart(self) -> bool:
-        return RESTART_FEATURE in self.phi
-
 
 @dataclass
 class GroundedGraph:
@@ -76,15 +72,6 @@ class GroundedGraph:
         phis = self.phis
         return tuple(Edge(u, v, dict(phis[k]))
                      for u, v, k in zip(self.src, self.dst, self.phi_id))
-
-    def add_node(self, payload=None) -> int:
-        self.nodes.append(payload)
-        return len(self.nodes) - 1
-
-    def add_edge(self, src: int, dst: int, phi: FeatureVector):
-        self.src.append(src)
-        self.dst.append(dst)
-        self.phi_id.append(self._intern(phi))
 
     def add_edges(self, src, dst, phis):
         """Add the edges ``src[i] -> dst[i]`` with the vectors ``phis[i]``
@@ -318,7 +305,10 @@ def _read_record(lines: list[str]) -> GroundedGraph:
         return phi
 
     g = GroundedGraph([None] * n, query=query, start=node_id(header[1]))
-    phi_ids: dict[str, int] = {}   # feature text -> its entry in g.phis
+    phi_of_text: dict[str, FeatureVector] = {}   # one dict per feature text
+    src: list[int] = []
+    dst: list[int] = []
+    phis: list[FeatureVector] = []
     for line in lines[1:]:
         kind, *fields = line.split("\t")
         if kind == "sol" and len(fields) in (2, 3):
@@ -329,17 +319,17 @@ def _read_record(lines: list[str]) -> GroundedGraph:
                     raise bad(f"label {fields[2]!r}, not + or -")
                 g.labels[nid] = fields[2] == "+"
         elif kind == "edge" and len(fields) == 3:
-            k = phi_ids.get(fields[2])
-            if k is None:
-                k = phi_ids[fields[2]] = g._intern(phi_of(fields[2]))
-            u, v = node_id(fields[0]), node_id(fields[1])
-            g.src.append(u)
-            g.dst.append(v)
-            g.phi_id.append(k)
+            phi = phi_of_text.get(fields[2])
+            if phi is None:
+                phi = phi_of_text[fields[2]] = phi_of(fields[2])
+            src.append(node_id(fields[0]))
+            dst.append(node_id(fields[1]))
+            phis.append(phi)
         elif kind in ("sol", "edge"):
             raise bad(f"a {kind} line of {len(fields) + 1} fields: {line!r}")
         else:
             raise bad(f"a line of unknown kind {kind!r}")
+    g.add_edges(src, dst, phis)
     if g.num_edges != number(header[3]):
         raise ValueError(f"record for {query!r} declares {header[3]} "
                          f"edges but has {g.num_edges}")

@@ -598,9 +598,11 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     probability >= alpha_prime, its restart edge being the one whose phi
     holds ``RESTART_FEATURE``.  Returns (p, r, graph, stats): the mass
     approximation p, the residual r (both keyed by graph node ids), and a
-    GroundedGraph holding every edge examined by a push.  p lists the
-    pushed nodes in first-push order, and r the nodes a push reached (and
-    the start) in the order it first reached them.
+    GroundedGraph holding every edge examined by a push.  p gains a node
+    at its first push, so it lists the pushed nodes in first-push order.
+    r is read back at the end: the start, then the targets of the push
+    plans' edges in the order they first occur, which is the order a
+    push first reached them.
 
     On return, r[u] <= epsilon * |N(u)| for every node with an id, and
     the true walk mass is exact = p + sum_v r(v) * ppr_v, where ppr_v is
@@ -616,8 +618,9 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     pushed nodes get ids (when their parent is first pushed), plus any
     child whose ``is_solution`` attribute is true (when its parent is
     expanded); other children of an unpushed node are held without an
-    id.  So ``stats.nodes_discovered`` counts the nodes with ids, and
-    ``node_budget`` bounds those together with the distinct states held.
+    id.  One map holds every state met, with its id or None while it is
+    held.  So ``stats.nodes_discovered`` counts the nodes with ids, and
+    ``node_budget`` bounds the states in that map.
     A node's first push turns its expansion into a push plan, its
     (target id, share of the pushed residual) pairs, and raises
     GroundingError if its restart probability is below alpha_prime.
@@ -632,29 +635,26 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
     """
     g = GroundedGraph()
     nodes = g.nodes
-    ids: dict = {}          # payload -> node id
-    held: set = set()       # expanded children without an id
+    # Every state met: its node id, or None for an expanded child held
+    # without one.
+    ids: dict = {}
 
     def admit(n: int):
-        if len(ids) + len(held) + n > node_budget:
+        if len(ids) + n > node_budget:
             raise BudgetError(
                 f"node budget {node_budget} exceeded; epsilon="
                 f"{epsilon} is too small for this budget")
 
-    # Per node id: its residual, its absorbed mass, whether it is on the
-    # stack, the residual it must exceed to be worked on (epsilon, or
-    # epsilon times its bound or degree if more) and its slot: None, its
-    # lower bound, its pending expansion [edges, degree] (edges hold
-    # target payloads) or, from its first push, its push plan
-    # (degree, [(target id, share), ...]).
+    # Per node id: its residual, whether it is on the stack, the residual
+    # it must exceed to be worked on (epsilon, or epsilon times its bound
+    # or degree if more) and its slot: None, its lower bound, its pending
+    # expansion [edges, degree] (edges hold target states) or, from its
+    # first push, its push plan (degree, [(target id, share), ...]).
     res: list[float] = []
-    mass: list[float] = []
     queued: list[bool] = []
     limit: list[float] = []
     slot: list = []
-    touched: list[int] = []         # the keys of r, in first-touch order
-    untouched: set[int] = set()     # solutions with an id and no residual
-    first: list[int] = []           # the keys of p, in first-push order
+    p: dict[int, float] = {}        # absorbed mass, keyed in first-push order
     # the edges of the push plans, added to g at the end
     edge_src: list[int] = []
     edge_dst: list[int] = []
@@ -664,7 +664,6 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
         nid = ids[payload] = len(nodes)
         nodes.append(payload)
         res.append(0.0)
-        mass.append(0.0)
         queued.append(False)
         limit.append(epsilon)
         slot.append(None)
@@ -683,14 +682,11 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
             targets = dict.fromkeys([t for t, _, _ in edges])
             for t in targets:
                 if t not in ids and getattr(t, "is_solution", False):
-                    if t in held:
-                        held.remove(t)
-                    else:
-                        admit(1)
-                    untouched.add(new_id(t))
-            new = set(targets).difference(ids, held)
+                    admit(1)
+                    new_id(t)
+            new = [t for t in targets if t not in ids]
             admit(len(new))
-            held.update(new)
+            ids.update(dict.fromkeys(new))
             pending = slot[u] = [edges, len(targets)]
             bar = epsilon * len(targets)
             limit[u] = max(epsilon, bar)
@@ -699,14 +695,9 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
         edges, degree = pending
         pairs = []
         for t, prob, phi in edges:
-            dst = ids.get(t)
+            dst = ids[t]
             if dst is None:
-                held.remove(t)
                 dst = new_id(t)
-                touched.append(dst)
-            elif dst in untouched:
-                untouched.remove(dst)
-                touched.append(dst)
             # the restart gives up alpha'
             share = (prob - alpha_prime) if RESTART_FEATURE in phi else prob
             if share < -1e-12:
@@ -717,14 +708,13 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
             edge_phi.append(phi)
         edge_src.extend(repeat(u, len(pairs)))
         edge_dst.extend(map(itemgetter(0), pairs))
-        first.append(u)
+        p[u] = 0.0
         plan = slot[u] = (degree, pairs)
         return plan
 
     admit(1)
     v0 = g.start = new_id(start)
     res[v0] = 1.0
-    touched.append(v0)
     pushes = degree_sum = 0
     stack = [v0]
     queued[v0] = True
@@ -745,7 +735,7 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
         degree, pairs = plan
         pushes += 1
         degree_sum += degree
-        mass[u] += alpha_prime * ru
+        p[u] += alpha_prime * ru
         res[u] = 0.0
         for dst, share in pairs:
             x = res[dst] = res[dst] + share * ru
@@ -754,11 +744,11 @@ def pagerank_nibble(start, expand: Expander, alpha_prime: float,
                 queued[dst] = True
 
     g.add_edges(edge_src, edge_dst, edge_phi)
-    r = {u: res[u] for u in touched}
+    r = {u: res[u] for u in dict.fromkeys(chain((v0,), edge_dst))}
     stats = PushStats(pushes=pushes, degree_sum=degree_sum,
                       nodes_discovered=len(nodes),
                       residual_mass=left_sum(r.values()))
-    return {u: mass[u] for u in first}, r, g, stats
+    return p, r, g, stats
 
 
 class _ProverExpander:
@@ -777,14 +767,13 @@ class _ProverExpander:
         self.fn = fn
         self.v0 = v0
         self.loop_phi = prover.vector(((SELF_LOOP_FEATURE, 1.0),))
-        self.loop_restart_phi = prover.vector(((RESTART_FEATURE, 1.0),))
         self.raw_of: dict[int, float] = {}
 
     def successors(self, node: ProofNode):
         """(successors, restart_phi) of ``node``, from one prover step; a
         solution self-loops."""
         if node.is_solution:
-            return [(node, self.loop_phi)], self.loop_restart_phi
+            return [(node, self.loop_phi)], self.prover._unit_restart
         return self.prover.step(node, self.params.alpha)
 
     def __call__(self, node: ProofNode):
@@ -806,6 +795,7 @@ def approximate_ground(query: Atom, program: Program, store: FactStore,
     1/(alpha_prime * epsilon) edges), the approximate walk-mass vector
     keyed by node id, and push statistics.
     """
+    _check_arity(query, program, store)
     v0 = start_node(query)
     prover = Prover(program, store)
     expander = _ProverExpander(prover, params, w, fn, v0)
@@ -835,6 +825,7 @@ def ground_full(query: Atom, program: Program, store: FactStore,
     ``tests/full_reference.py`` keeps the loop that held (state, id)
     pairs as an oracle.
     """
+    _check_arity(query, program, store)
     v0 = start_node(query)
     successors = _ProverExpander(Prover(program, store), params, w, fn,
                                  v0).successors
@@ -875,6 +866,17 @@ def ground_full(query: Atom, program: Program, store: FactStore,
     g.add_edges(src, dst, phis)
     _name_answers(g, query)
     return g
+
+
+def _check_arity(query: Atom, program: Program, store: FactStore):
+    """Raise GroundingError when the rules (heads or bodies) or the facts
+    know the query's predicate at another arity.  A predicate they do not
+    know is left alone: its relation is empty."""
+    for known, where in ((store.predicates().get(query.pred), "stored arity"),
+                         (program.arities.get(query.pred), "arity in rules")):
+        if known is not None and known != query.arity:
+            raise GroundingError(f"{query.pred} queried with arity "
+                                 f"{query.arity}, {where} is {known}")
 
 
 def _name_answers(g: GroundedGraph, query: Atom):

@@ -43,7 +43,8 @@ class WeightFn:
 
 
 def _linear_value(dot: float) -> float:
-    return dot if dot > LINEAR_FLOOR else LINEAR_FLOOR
+    # NaN passes through, as it does through np.maximum
+    return LINEAR_FLOOR if dot <= LINEAR_FLOOR else dot
 
 
 LINEAR = WeightFn("linear", _linear_value,
@@ -80,10 +81,23 @@ def save_params(w: ParameterVector) -> str:
 
 
 def load_params(text: str) -> ParameterVector:
+    """The weights of ``save_params`` text.  Raises ValueError, naming the
+    line, for a line that is not ``name<TAB>weight`` or a weight that is
+    not a finite number."""
     w = ParameterVector()
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         name, _, value = line.rpartition("\t")
-        w[name] = float(value)
+        if not name:
+            raise ValueError(f"line {lineno}: expected name<TAB>weight, "
+                             f"got {line!r}")
+        try:
+            weight = float(value)
+        except ValueError:
+            weight = math.nan
+        if not math.isfinite(weight):
+            raise ValueError(f"line {lineno}: weight {value!r} of {name!r} "
+                             f"is not a finite number")
+        w[name] = weight
     return w

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from graph_build import add_edge, add_node, is_restart
 from pprlog.facts import load_facts
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
 from pprlog.parser import parse_program
@@ -63,20 +64,20 @@ def random_grounded_graph(rng: random.Random, n: int, num_features: int = 6,
     self-loops."""
     g = GroundedGraph()
     for i in range(n):
-        g.add_node(f"n{i}")
+        add_node(g, f"n{i}")
     feats = [f"f{i}" for i in range(num_features)]
     for u in range(n):
-        g.add_edge(u, 0, {RESTART_FEATURE: rng.uniform(0.2, 2.0)})
+        add_edge(g, u, 0, {RESTART_FEATURE: rng.uniform(0.2, 2.0)})
         if rng.random() < solution_fraction:
             g.solutions[u] = f"answer{u}"
-            g.add_edge(u, u, {"id(selfLoop)": 1.0})
+            add_edge(g, u, u, {"id(selfLoop)": 1.0})
         else:
             deg = rng.randint(1, max_degree)
             for dst in rng.sample(range(n), deg):
                 phi = {rng.choice(feats): rng.uniform(0.5, 2.0)}
                 if rng.random() < 0.3:
                     phi[rng.choice(feats)] = rng.uniform(0.5, 2.0)
-                g.add_edge(u, dst, phi)
+                add_edge(g, u, dst, phi)
     return g
 
 
@@ -98,9 +99,9 @@ def oracle_transition_matrix(g: GroundedGraph, w, fn_name: str,
             dot = sum(w[name] * val for name, val in e.phi.items())
             raw = math.exp(dot) if fn_name == "exp" else max(dot, 1e-9)
             raws.append(raw)
-        s = sum(r for e, r in zip(edges, raws) if not e.is_restart)
+        s = sum(r for e, r in zip(edges, raws) if not is_restart(e))
         for i, e in enumerate(edges):
-            if e.is_restart and raws[i] < alpha_prime * s / (1 - alpha_prime):
+            if is_restart(e) and raws[i] < alpha_prime * s / (1 - alpha_prime):
                 raws[i] = alpha_prime * s / (1 - alpha_prime)
         z = sum(raws)
         for e, r in zip(edges, raws):
@@ -133,8 +134,8 @@ def graph_expander(g: GroundedGraph, w, fn, alpha_prime: float):
 
     def expand(u):
         edges = outgoing.get(u, [])
-        succ = [(e.dst, e.phi) for e in edges if not e.is_restart]
-        restart = next((e.phi for e in edges if e.is_restart),
+        succ = [(e.dst, e.phi) for e in edges if not is_restart(e)]
+        restart = next((e.phi for e in edges if is_restart(e)),
                        {RESTART_FEATURE: 1.0})
         return transition_distribution(succ, restart, w, fn, alpha_prime,
                                        restart_target=g.start)

@@ -5,9 +5,11 @@ ids, adds a grounding's edges in one call and writes depths a level at
 a time: ``test_full_reference`` checks that both give the same graph,
 node ids, depths and answers, and spend a node budget at the same point.
 This is the loop from before the frontier held only ids; it adds edges
-through ``GroundedGraph.add_edge``, which builds the same tables.
+one at a time through ``graph_build.add_edge``, which builds the same
+tables.
 """
 
+from graph_build import add_edge, add_node
 from pprlog.graph import GroundedGraph
 from pprlog.grounder import (BudgetError, Prover, _name_answers,
                              _ProverExpander, start_node)
@@ -18,7 +20,7 @@ def reference_full(query, program, store, params) -> GroundedGraph:
     v0 = start_node(query)
     expander = _ProverExpander(Prover(program, store), params, None, None, v0)
     g = GroundedGraph()
-    ids = {v0: g.add_node(v0)}
+    ids = {v0: add_node(g, v0)}
     g.depths[0] = 0
     frontier = [(v0, 0)]
     for depth in range(params.max_T):
@@ -34,12 +36,12 @@ def reference_full(query, program, store, params) -> GroundedGraph:
                         raise BudgetError(
                             f"node budget {params.node_budget} exceeded "
                             f"grounding {query!r}")
-                    nid = g.add_node(target)
+                    nid = add_node(g, target)
                     ids[target] = nid
                     g.depths[nid] = depth + 1
                     nxt.append((target, nid))
-                g.add_edge(u, nid, phi)
-            g.add_edge(u, g.start, restart_phi)
+                add_edge(g, u, nid, phi)
+            add_edge(g, u, g.start, restart_phi)
         frontier = nxt
     _name_answers(g, query)
     return g

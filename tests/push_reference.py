@@ -1,13 +1,16 @@
 """The residual push loop with its state in dicts and sets.
 
 A reference for ``pagerank_nibble``, which keeps each node's residual,
-mass, queued flag and push plan in lists indexed by node id, builds a
-node's (target, share) pairs once at its first push and asks the lower
-bound once per node: ``test_push_reference`` checks that both give the
-same p, r, graph and stats, in the same orders, and fail at the same
-point.  This is the loop from before the state moved into lists.
+queued flag and push plan in lists indexed by node id and every state
+met in one map, builds a node's (target, share) pairs once at its first
+push and asks the lower bound once per node: ``test_push_reference``
+checks that both give the same p, r, graph and stats, in the same
+orders, and fail at the same point.  This is the loop from before the
+state moved into lists; it adds its edges one at a time through
+``graph_build.add_edge``.
 """
 
+from graph_build import add_edge, add_node
 from pprlog.graph import RESTART_FEATURE, GroundedGraph
 from pprlog.grounder import BudgetError, GroundingError, PushStats
 from pprlog.weights import left_sum
@@ -33,7 +36,7 @@ def reference_nibble(start, expand, alpha_prime: float, epsilon: float,
                 held.remove(payload)
             else:
                 admit(1)
-            nid = g.add_node(payload)
+            nid = add_node(g, payload)
             ids[payload] = nid
         return nid
 
@@ -81,7 +84,7 @@ def reference_nibble(start, expand, alpha_prime: float, epsilon: float,
             edges = [(node_id(t), prob, phi) for t, prob, phi in edges]
             expanded[u] = (edges, degree)
             for dst, _, phi in edges:
-                g.add_edge(u, dst, phi)
+                add_edge(g, u, dst, phi)
         stats.pushes += 1
         stats.degree_sum += degree
         p[u] = p.get(u, 0.0) + alpha_prime * ru

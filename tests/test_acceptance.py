@@ -31,6 +31,7 @@ import pytest
 from conftest import (HYPERLINK_FACTS, TABLE_PROGRAM, graph_expander,
                       oracle_exact_ppr, oracle_transition_matrix,
                       random_grounded_graph)
+from graph_build import is_restart
 from pprlog.facts import load_facts
 from pprlog.graph import NumericGraph
 from pprlog.grounder import (GroundingParams, Prover, approximate_ground,
@@ -414,14 +415,14 @@ def test_10_end_to_end_smoke():
     # the worked proof graph: two clause choices at the root, a dead
     # base branch (a has no hand label), both answers as solutions
     root_children = {e.dst for e in gf.edges
-                     if e.src == gf.start and not e.is_restart}
+                     if e.src == gf.start and not is_restart(e)}
     ok &= len(root_children) == 2
-    expandable = {e.src for e in gf.edges if not e.is_restart}
+    expandable = {e.src for e in gf.edges if not is_restart(e)}
     ok &= any(c not in expandable for c in root_children)
     ok &= set(gf.solutions.values()) == {"about(a,fashion)",
                                         "about(a,sport)"}
-    ok &= all(any(e.src == u and e.is_restart for e in gf.edges)
-              or any(e.src == u and not e.is_restart for e in gf.edges)
+    ok &= all(any(e.src == u and is_restart(e) for e in gf.edges)
+              or any(e.src == u and not is_restart(e) for e in gf.edges)
               for u in range(gf.num_nodes))
     verdict(10, "worked example answers and proof structure", ok,
             f"fashion={answer_mass.get('about(a,fashion)', 0.0):.4f} "

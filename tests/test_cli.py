@@ -310,6 +310,58 @@ def test_train_names_the_example_that_fails_to_ground(tmp_path, capsys):
     assert err.count("\n") == 1 and not out.exists()
 
 
+def test_answer_reports_a_query_at_another_arity(workspace):
+    (workspace / "queries.txt").write_text("about(a)\nhasWord(a)\n"
+                                           "about(a,Z)\nmystery(a)\n")
+    for exact in ([], ["--exact"]):
+        out = workspace / "answers.tsv"
+        assert run(["answer", *common(workspace), "--queries",
+                    workspace / "queries.txt", *exact, "--out", out]) == 0
+        blocks = read_answer_blocks(out)
+        assert blocks["about(a)"] == [
+            ["error", "about queried with arity 1, arity in rules is 2"]]
+        assert blocks["hasWord(a)"] == [
+            ["error", "hasWord queried with arity 1, stored arity is 2"]]
+        assert len(blocks["about(a,Z)"]) == 2
+        # a predicate known nowhere is an empty relation
+        assert blocks["mystery(a)"] == []
+
+
+@pytest.mark.parametrize("command", ["ground", "train"])
+def test_ground_and_train_stop_at_a_query_at_another_arity(workspace, capsys,
+                                                           command):
+    train = workspace / "train.tsv"
+    train.write_text("about(a,X)\t+about(a,fashion)\n"
+                     "about(a)\t+about(a)\n")
+    out = workspace / "out.tsv"
+    target = ["--out", out] if command == "ground" else ["--params-out", out]
+    assert run([command, *common(workspace), "--train", train,
+                *target]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error\t{train} line 2: about(a): about queried with "
+                   f"arity 1, arity in rules is 2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("badline", "line 2: expected name<TAB>weight, got 'badline'"),
+    ("prop\tnan", "line 2: weight 'nan' of 'prop' is not a finite number"),
+    ("prop\t-inf", "line 2: weight '-inf' of 'prop' is not a finite number"),
+    ("prop\tx", "line 2: weight 'x' of 'prop' is not a finite number"),
+], ids=["no-tab", "nan", "-inf", "not-a-number"])
+def test_params_in_refuses_a_bad_line(workspace, capsys, line, message):
+    weights = workspace / "w.tsv"
+    weights.write_text(f"base\t1.5\n{line}\n")
+    with pytest.raises(ValueError) as e:
+        load_params(weights.read_text())
+    assert str(e.value) == message
+    for exact in ([], ["--exact"]):
+        assert run(["answer", *common(workspace), "--queries",
+                    workspace / "queries.txt", "--params-in", weights,
+                    *exact]) == 1
+        assert capsys.readouterr().err == f"error\t{weights} {message}\n"
+
+
 def test_answer_rejects_negative_horizon(workspace, capsys):
     code = run(["answer", *common(workspace), "--queries",
                 workspace / "queries.txt", "--exact", "--max-t", "-1"])

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import random_grounded_graph
 from edge_numeric import edge_numeric
+from graph_build import add_edge, add_node
 from pprlog.facts import load_facts
 from pprlog.graph import (RESTART_FEATURE, GroundedGraph, NumericGraph,
                           deserialize, serialize)
@@ -83,28 +84,28 @@ def test_record_round_trip_is_identity(name):
 def test_table_holds_each_vector_once_in_first_use_order():
     g = GroundedGraph(query="q(X)")
     for _ in range(3):
-        g.add_node()
+        add_node(g)
     shared = {"db": 1.0}
-    g.add_edge(0, 1, shared)
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(1, 2, {"db": 1.0})
-    g.add_edge(0, 2, shared)
+    add_edge(g, 0, 1, shared)
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 1, 2, {"db": 1.0})
+    add_edge(g, 0, 2, shared)
     assert list(g.phi_id) == [0, 1, 0, 0]
     assert g.phis == [(("db", 1.0),), ((RESTART_FEATURE, 1.0),)]
     # the same names in another order are another vector
-    g.add_edge(2, 2, {"b": 1.0, "a": 2.0})
-    g.add_edge(2, 1, {"a": 2.0, "b": 1.0})
+    add_edge(g, 2, 2, {"b": 1.0, "a": 2.0})
+    add_edge(g, 2, 1, {"a": 2.0, "b": 1.0})
     assert list(g.phi_id)[-2:] == [2, 3]
     assert NumericGraph(g).feat_names == ["db", RESTART_FEATURE, "b", "a"]
 
 
 def test_edges_cannot_change_the_graph():
     g = GroundedGraph()
-    g.add_node()
+    add_node(g)
     phi = {"f": 1.0}
-    g.add_edge(0, 0, phi)
+    add_edge(g, 0, 0, phi)
     phi["f"] = 2.0                   # the caller's dict is copied
-    g.add_edge(0, 0, phi)
+    add_edge(g, 0, 0, phi)
     first, second = g.edges
     assert (first.phi, second.phi) == ({"f": 1.0}, {"f": 2.0})
     first.phi["f"] = 5.0             # and each access gives fresh dicts
@@ -122,9 +123,9 @@ def test_edges_cannot_change_the_graph():
 ], ids=["signed-zero", "int-float"])
 def test_vectors_that_print_differently_do_not_share_an_entry(a, b, lines):
     g = GroundedGraph(query="q")
-    g.add_node()
-    g.add_edge(0, 0, {"f": a})
-    g.add_edge(0, 0, {"f": b})
+    add_node(g)
+    add_edge(g, 0, 0, {"f": a})
+    add_edge(g, 0, 0, {"f": b})
     assert list(g.phi_id) == [0, 1]
     assert [e.phi["f"] for e in g.edges] == [a, b]
     assert [repr(e.phi["f"]) for e in g.edges] == [repr(a), repr(b)]

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from graph_build import add_node
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
 from pprlog.grounder import pagerank_nibble, transition_distribution
 from pprlog.inference import extract_answers
@@ -56,7 +57,7 @@ def test_transition_total_adds_from_the_left():
 def test_answer_mass_adds_from_the_left():
     g = GroundedGraph()
     for answer in ("q(a)", "q(b)", "q(c)"):
-        g.solutions[g.add_node()] = answer
+        g.solutions[add_node(g)] = answer
     answers = extract_answers(g, np.array(LOST))
     assert answers.z == 1e16
     assert answers.items[0] == ("q(a)", 1.0)

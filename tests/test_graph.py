@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_transition_matrix, random_grounded_graph
+from graph_build import add_edge, add_node, is_restart
 from pprlog.graph import (GroundedGraph, NumericGraph, RESTART_FEATURE,
                           deserialize, serialize)
 from pprlog.grounder import GroundingParams, ground_full
@@ -16,13 +17,13 @@ from pprlog.weights import EXP, LINEAR, ParameterVector, edge_weight
 def sample_graph():
     g = GroundedGraph(query="q(a,X)")
     for _ in range(3):
-        g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(0, 1, {"f(a,b)": 1.0, "g": 2.0})
-    g.add_edge(1, 0, {RESTART_FEATURE: 0.5})
-    g.add_edge(1, 2, {"db": 1.0})
-    g.add_edge(2, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(2, 2, {"id(selfLoop)": 1.0})
+        add_node(g)
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 0, 1, {"f(a,b)": 1.0, "g": 2.0})
+    add_edge(g, 1, 0, {RESTART_FEATURE: 0.5})
+    add_edge(g, 1, 2, {"db": 1.0})
+    add_edge(g, 2, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 2, 2, {"id(selfLoop)": 1.0})
     g.solutions[2] = "q(a,b)"
     g.labels[2] = True
     return g
@@ -36,9 +37,9 @@ def test_serialize_roundtrip():
     assert g2.num_nodes == g.num_nodes
     assert g2.solutions == g.solutions
     assert g2.labels == g.labels
-    assert sorted((e.src, e.dst, tuple(sorted(e.phi.items())), e.is_restart)
+    assert sorted((e.src, e.dst, tuple(sorted(e.phi.items())), is_restart(e))
                   for e in g2.edges) == \
-        sorted((e.src, e.dst, tuple(sorted(e.phi.items())), e.is_restart)
+        sorted((e.src, e.dst, tuple(sorted(e.phi.items())), is_restart(e))
                for e in g.edges)
     assert serialize(g2) == text  # deterministic, diffable
 
@@ -47,8 +48,8 @@ def test_serialize_roundtrip():
                          ids=["int", "numpy-float"])
 def test_serialize_writes_each_value_as_its_float(value):
     g = GroundedGraph(query="q(a,X)")
-    g.add_node()
-    g.add_edge(0, 0, {"f": value})
+    add_node(g)
+    add_edge(g, 0, 0, {"f": value})
     text = serialize(g)
     assert text.splitlines()[1] == "edge\t0\t0\tf=1.0"
     assert serialize(deserialize(text)[0]) == text
@@ -95,10 +96,10 @@ def test_numeric_matches_oracle_matrix():
 
 def test_restart_floor_in_numeric_view():
     g = GroundedGraph()
-    g.add_node()
-    g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 0.001})
-    g.add_edge(0, 1, {"f": 1.0})
+    add_node(g)
+    add_node(g)
+    add_edge(g, 0, 0, {RESTART_FEATURE: 0.001})
+    add_edge(g, 0, 1, {"f": 1.0})
     ng = NumericGraph(g)
     prob, info = ng.probabilities(ParameterVector(), LINEAR, 0.1)
     restart_prob = prob[ng.restart_mask & (ng.src == 0)][0]
@@ -108,10 +109,10 @@ def test_restart_floor_in_numeric_view():
 
 def test_dangling_node_gets_implicit_restart():
     g = GroundedGraph()
-    g.add_node()
-    g.add_node()
-    g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
+    add_node(g)
+    add_node(g)
+    add_edge(g, 0, 1, {"f": 1.0})
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
     ng = NumericGraph(g)
     prob, _ = ng.probabilities(ParameterVector(), LINEAR, 0.1)
     mask = ng.src == 1
@@ -125,21 +126,25 @@ def test_raw_weights_agree_with_edge_weight():
     # does, and each weighting function's array form and slope must
     # agree with its scalar value.
     g = GroundedGraph()
-    g.add_node()
-    g.add_node()
-    g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
+    add_node(g)
+    add_node(g)
+    add_edge(g, 0, 1, {"f": 1.0})
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
     ng = NumericGraph(g)
     w = ParameterVector({"f": 3.0})
     for fn in (LINEAR, EXP):
         _, raw = ng.raw_weights(w, fn)
         assert raw[(ng.src == 0) & (ng.dst == 1)][0] == pytest.approx(
             edge_weight(fn, w, {"f": 1.0}))
-        # away from the linear floor's kink at 1e-9
+        # away from the linear floor's kink at 1e-9; the scalar form must
+        # pass NaN and the infinities as the array form does
         dots = np.array([-2.0, -0.5, 1e-3, 0.7, 3.0])
+        every = np.array([*dots, np.nan, np.inf, -np.inf])
+        assert list(fn.array(every)) == pytest.approx(
+            [fn.value(d) for d in every], rel=1e-15, nan_ok=True)
+        with pytest.raises(ValueError, match="non-finite edge weight nan"):
+            edge_weight(fn, ParameterVector({"f": np.nan}), {"f": 1.0})
         values = fn.array(dots)
-        assert list(values) == pytest.approx([fn.value(d) for d in dots],
-                                             rel=1e-15)
         slope = fn.slope(dots, values)
         assert not np.shares_memory(slope, values)
         h = 1e-6
@@ -153,8 +158,8 @@ def test_raw_weights_agree_with_edge_weight():
 def test_serialize_refuses_name_that_reads_back_differently(name):
     # by(a)b) would read back merged with the next feature
     g = sample_graph()
-    g.add_edge(1, 1, {name: 1.0, "sim": 1.0})
-    g.add_edge(2, 1, {name: 2.0})
+    add_edge(g, 1, 1, {name: 1.0, "sim": 1.0})
+    add_edge(g, 2, 1, {name: 2.0})
     with pytest.raises(ValueError, match=re.escape(repr(name))):
         serialize(g)
 
@@ -163,7 +168,7 @@ def test_serialize_refuses_name_that_reads_back_differently(name):
                                   "by('it\\'s','c\\\\')"])
 def test_serialize_round_trips_quoted_name(name):
     g = sample_graph()
-    g.add_edge(1, 1, {name: 1.0, "sim": 1.0})
+    add_edge(g, 1, 1, {name: 1.0, "sim": 1.0})
     back = deserialize(serialize(g))[0]
     assert [e.phi for e in back.edges if e.src == e.dst == 1] == [
         {name: 1.0, "sim": 1.0}]
@@ -200,12 +205,12 @@ def test_restart_is_the_edge_carrying_def_restart():
     # the restart of node 0 is clamped by the alpha' floor; in memory and
     # after a round trip it is the same edge, so the walk is the same
     g = GroundedGraph(query="q(X)")
-    g.add_node()
-    g.add_node()
-    g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(0, 0, {RESTART_FEATURE: 0.01})
-    g.add_edge(1, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(1, 1, {"id(selfLoop)": 1.0})
+    add_node(g)
+    add_node(g)
+    add_edge(g, 0, 1, {"f": 1.0})
+    add_edge(g, 0, 0, {RESTART_FEATURE: 0.01})
+    add_edge(g, 1, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 1, 1, {"id(selfLoop)": 1.0})
     g.solutions[1] = "q(a)"
     (back,) = deserialize(serialize(g))
     assert serialize(back) == serialize(g)

@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+from graph_build import is_restart
 from pprlog import grounder
 from pprlog.facts import load_facts
 from pprlog.graph import DB_FEATURE, RESTART_FEATURE, serialize
@@ -284,7 +285,36 @@ def test_ground_full_unknown_predicate(hyperlink_program, hyperlink_store):
                     hyperlink_store, GroundingParams(max_T=5),
                     ParameterVector(), LINEAR)
     assert g.num_nodes == 1
-    assert all(e.is_restart for e in g.edges)
+    assert all(is_restart(e) for e in g.edges)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["push", "full"])
+@pytest.mark.parametrize("query,message", [
+    ("about(a)", "about queried with arity 1, arity in rules is 2"),
+    ("about(a,Z,W)", "about queried with arity 3, arity in rules is 2"),
+    ("linkedBy(a,b)", "linkedBy queried with arity 2, arity in rules is 3"),
+    ("hasWord(a)", "hasWord queried with arity 1, stored arity is 2"),
+    ("handLabeled(a,b,c)",
+     "handLabeled queried with arity 3, stored arity is 2"),
+], ids=["rule-head-1", "rule-head-3", "rule-head-2", "facts-1", "facts-3"])
+def test_query_at_another_arity_is_refused(hyperlink_program, hyperlink_store,
+                                           query, message, full):
+    args = (parse_atom(query), hyperlink_program, hyperlink_store,
+            GroundingParams(max_T=5), ParameterVector(), LINEAR)
+    with pytest.raises(GroundingError) as e:
+        ground_full(*args) if full else approximate_ground(*args)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["push", "full"])
+def test_query_at_another_arity_than_a_rule_body_is_refused(full):
+    # q has no clause and no rows; a body gives its arity
+    args = (parse_atom("q(a)"), parse_program("p(X) :- q(X,Y) # f."),
+            load_facts("r\ta\n"), GroundingParams(max_T=5),
+            ParameterVector(), LINEAR)
+    with pytest.raises(GroundingError,
+                       match=r"^q queried with arity 1, arity in rules is 2$"):
+        ground_full(*args) if full else approximate_ground(*args)
 
 
 @pytest.mark.parametrize("query,subgoals,bound", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_exact_ppr, random_grounded_graph
+from graph_build import add_edge, add_node
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
 from pprlog.inference import (auc, average_precision, extract_answers,
                               power_iterate)
@@ -12,19 +13,19 @@ from pprlog.weights import EXP, LINEAR, ParameterVector
 
 def test_single_absorbing_node():
     g = GroundedGraph()
-    g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
+    add_node(g)
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
     v = power_iterate(g, ParameterVector(), LINEAR, T=50)
     assert v[0] == pytest.approx(1.0)
 
 
 def test_two_node_matches_dense_solve():
     g = GroundedGraph()
-    g.add_node()
-    g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(0, 1, {"f": 4.0})
-    g.add_edge(1, 0, {RESTART_FEATURE: 1.0})
+    add_node(g)
+    add_node(g)
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 0, 1, {"f": 4.0})
+    add_edge(g, 1, 0, {RESTART_FEATURE: 1.0})
     v = power_iterate(g, ParameterVector(), LINEAR, T=500, tol=1e-14)
     exact = oracle_exact_ppr(g, ParameterVector(), "linear", 0.1)
     assert v == pytest.approx(exact, abs=1e-10)
@@ -33,12 +34,12 @@ def test_two_node_matches_dense_solve():
 def test_three_node_chain_matches_dense_solve():
     g = GroundedGraph()
     for _ in range(3):
-        g.add_node()
+        add_node(g)
     for u in range(3):
-        g.add_edge(u, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(1, 2, {"f": 1.0})
-    g.add_edge(2, 2, {"id(selfLoop)": 1.0})
+        add_edge(g, u, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 0, 1, {"f": 1.0})
+    add_edge(g, 1, 2, {"f": 1.0})
+    add_edge(g, 2, 2, {"id(selfLoop)": 1.0})
     v = power_iterate(g, ParameterVector(), LINEAR, T=2000, tol=1e-15)
     exact = oracle_exact_ppr(g, ParameterVector(), "linear", 0.1)
     assert v == pytest.approx(exact, abs=1e-10)
@@ -58,10 +59,10 @@ def test_random_graphs_match_dense_solve():
 def test_non_finite_exp_weight_names_the_edge():
     g = GroundedGraph()
     for _ in range(3):
-        g.add_node()
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(0, 1, {"f": 1.0})
-    g.add_edge(0, 2, {"big": 1.0})
+        add_node(g)
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 0, 1, {"f": 1.0})
+    add_edge(g, 0, 2, {"big": 1.0})
     with (pytest.raises(ValueError, match="non-finite weight on edge 0->2"),
           np.errstate(over="ignore")):    # exp(1000) overflows to inf
         power_iterate(g, ParameterVector({"big": 1000.0}), EXP)
@@ -70,7 +71,7 @@ def test_non_finite_exp_weight_names_the_edge():
 def test_extract_answers_renormalizes():
     g = GroundedGraph()
     for _ in range(3):
-        g.add_node()
+        add_node(g)
     g.solutions[1] = "q(a)"
     g.solutions[2] = "q(b)"
     answers = extract_answers(g, np.array([0.5, 0.3, 0.1]))
@@ -82,7 +83,7 @@ def test_extract_answers_renormalizes():
 def test_extract_answers_scale_invariant():
     g = GroundedGraph()
     for _ in range(3):
-        g.add_node()
+        add_node(g)
     g.solutions[1] = "q(a)"
     g.solutions[2] = "q(b)"
     v = np.array([0.5, 0.3, 0.1])
@@ -94,7 +95,7 @@ def test_extract_answers_scale_invariant():
 
 def test_extract_answers_empty():
     g = GroundedGraph()
-    g.add_node()
+    add_node(g)
     answers = extract_answers(g, np.array([1.0]))
     assert answers.items == [] and answers.z == 0.0
 
@@ -102,7 +103,7 @@ def test_extract_answers_empty():
 def test_extract_single_solution_probability_one():
     g = GroundedGraph()
     for _ in range(2):
-        g.add_node()
+        add_node(g)
     g.solutions[1] = "q(a)"
     answers = extract_answers(g, np.array([0.9, 0.001]))
     assert answers.items == [("q(a)", pytest.approx(1.0))]

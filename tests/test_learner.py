@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grounded_graph
+from graph_build import add_edge, add_node
 from pprlog.facts import load_facts
 from pprlog.graph import NumericGraph
 from pprlog.grounder import GroundingParams
@@ -64,12 +65,12 @@ def test_shared_feature_gradient_sign_matches_fd():
     from pprlog.graph import GroundedGraph, RESTART_FEATURE
     g = GroundedGraph()
     for _ in range(3):
-        g.add_node()
+        add_node(g)
     for u in range(3):
-        g.add_edge(u, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(0, 1, {"shared": 1.0})
-    g.add_edge(1, 2, {"shared": 1.0})
-    g.add_edge(2, 2, {"shared": 1.0})
+        add_edge(g, u, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 0, 1, {"shared": 1.0})
+    add_edge(g, 1, 2, {"shared": 1.0})
+    add_edge(g, 2, 2, {"shared": 1.0})
     w = ParameterVector()
     v, grads, names = ppr_gradient(g, w, LINEAR, T=12,
                                    alpha_prime=ALPHA_PRIME)

@@ -9,6 +9,7 @@ import pytest
 from conftest import (HYPERLINK_FACTS, TABLE_PROGRAM, graph_expander,
                       oracle_exact_ppr, oracle_transition_matrix,
                       random_grounded_graph)
+from graph_build import add_edge, add_node
 from pprlog.facts import load_facts
 from pprlog.graph import (RESTART_FEATURE, SELF_LOOP_FEATURE, GroundedGraph,
                           serialize)
@@ -42,8 +43,8 @@ def out_degree(g: GroundedGraph):
 
 def test_first_push_on_start():
     g = GroundedGraph()
-    g.add_node("v0")
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
+    add_node(g, "v0")
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
     p, r, ghat, stats = run_nibble(g, eps=0.5)
     # single node: one push absorbs alpha', rest returns to the start's
     # residual, repeat until the residual drops below eps
@@ -130,12 +131,12 @@ def test_epsilon_one_pushes_nothing():
 def test_two_node_graph_matches_oracle():
     # v0 -> s with probability 1-a', both restart, s has a self-loop.
     g = GroundedGraph()
-    g.add_node("v0")
-    g.add_node("s")
-    g.add_edge(0, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(0, 1, {"f": 9.0})
-    g.add_edge(1, 0, {RESTART_FEATURE: 1.0})
-    g.add_edge(1, 1, {"id(selfLoop)": 1.0})
+    add_node(g, "v0")
+    add_node(g, "s")
+    add_edge(g, 0, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 0, 1, {"f": 9.0})
+    add_edge(g, 1, 0, {RESTART_FEATURE: 1.0})
+    add_edge(g, 1, 1, {"id(selfLoop)": 1.0})
     p, r, _, _ = run_nibble(g, eps=1e-9)
     exact = oracle_exact_ppr(g, ParameterVector(), "linear", ALPHA_PRIME)
     assert p[0] + p[1] == pytest.approx(1.0, abs=1e-6)

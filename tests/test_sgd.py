@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_grounded_graph
+from graph_build import add_edge
 from pprlog.graph import GroundedGraph, NumericGraph
 from pprlog.grounder import GroundingParams
 from pprlog.kernels import walk_history
@@ -43,7 +44,7 @@ def grounding_with_every_edge_kind(rng, w, fn):
         g = GroundedGraph(full.nodes, solutions=full.solutions)
         for e in full.edges:
             if e.src not in dangling:
-                g.add_edge(*e)
+                add_edge(g, *e)
         ng = NumericGraph(g)
         prob, info = ng.probabilities(w, fn, ALPHA_PRIME)
         V = walk_history(ng.src, ng.dst, prob, ng.n, ng.start, 8)

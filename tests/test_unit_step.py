@@ -4,14 +4,15 @@ A ground goal of a predicate defined only by body-less clauses over
 distinct head variables is expanded in one step, without unifying or
 renaming; it must give what the general clause path gives.  Equal
 vectors are one dict per prover, and the graph interns each such dict
-once by identity; the tables that gives must be the ones ``add_edge``
-builds by ``repr``.
+once by identity; the tables that gives must be the ones
+``graph_build.add_edge`` builds by ``repr``.
 """
 
 from collections import defaultdict
 
 import pytest
 
+from graph_build import add_edge, add_node
 from pprlog.facts import load_facts
 from pprlog.graph import GroundedGraph, RESTART_FEATURE
 from pprlog.grounder import (GroundingError, GroundingParams, Prover,
@@ -162,7 +163,7 @@ def test_identity_interning_matches_repr_interning(full):
                                          ParameterVector(), LINEAR)[0])
     by_repr = GroundedGraph()
     for e in g.edges:
-        by_repr.add_edge(e.src, e.dst, e.phi)
+        add_edge(by_repr, e.src, e.dst, e.phi)
     assert g.num_edges > 100 and len(g.phis) > 10
     assert by_repr.phis == g.phis
     assert by_repr.phi_id == g.phi_id
@@ -170,7 +171,7 @@ def test_identity_interning_matches_repr_interning(full):
 
 def test_add_edges_keys_fresh_dicts_by_repr():
     g = GroundedGraph()
-    g.add_node()
+    add_node(g)
     shared = {"f": 1.0}
     phis = [shared, {"f": 1.0}, shared, {"f": 1}, {"g": 1.0}, shared]
     g.add_edges([0] * 6, [0] * 6, phis)
