@@ -184,7 +184,13 @@ def cmd_ground(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # records hold their groundings: no rules or facts are read for them
+    # records hold their groundings: no rules or facts are read for them,
+    # and weights, which shape only a grounding, would change nothing
+    if args.groundings and args.params_in:
+        print("error\t--params-in shapes only the grounding, which "
+              "--groundings records already hold; give one of the two",
+              file=sys.stderr)
+        return 2
     if args.groundings:
         params, w, fn = _weighting(args)
     else:

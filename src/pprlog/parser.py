@@ -8,7 +8,8 @@ Grammar (one clause per '.', '%' comments):
 
 Variables are uppercase-initial identifiers (or "_"-initial); constants are
 lowercase-initial identifiers, numbers, or single-quoted strings in which
-a backslash escapes the next character (``'it\\'s'`` is ``it's``).
+a backslash escapes the next character (``'it\\'s'`` is ``it's``) and
+which hold no tab and no line break.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<punct>:-|[().,#])
   | (?P<quoted>'(?:[^'\\]|\\.)*')
   | (?P<name>[A-Za-z0-9_][A-Za-z0-9_-]*)
-""", re.VERBOSE)
+""", re.VERBOSE | re.DOTALL)
 
 
 class _Tokenizer:
@@ -99,6 +100,12 @@ class _Tokenizer:
                                  self.line, self.col)
             text = m.group(0)
             kind = m.lastgroup
+            # every file a name reaches splits its fields at tabs and
+            # its records at line boundaries
+            if kind == "quoted" and ("\t" in text
+                                     or len(text.splitlines()) > 1):
+                raise ParseError("a quoted name may not hold a tab or a "
+                                 "line break", self.line, self.col)
             if kind not in ("ws", "comment"):
                 self.tokens.append((kind, text, self.line, self.col))
             nl = text.count("\n")

@@ -106,6 +106,23 @@ def test_train_from_groundings_reads_no_rules_or_facts(workspace):
     assert bad.read_text() == good.read_text()
 
 
+def test_train_from_groundings_refuses_params_in(workspace, capsys):
+    # the records already hold their groundings, and SGD starts from its
+    # own initial weights, so the weights would change nothing
+    groundings, weights = workspace / "graphs.tsv", workspace / "w.tsv"
+    assert run(["ground", *common(workspace), "--train",
+                workspace / "train.tsv", "--out", groundings]) == 0
+    weights.write_text("base\t5.0\n")
+    out = workspace / "out.tsv"
+    capsys.readouterr()
+    assert run(["train", *common(workspace), "--train",
+                workspace / "train.tsv", "--groundings", groundings,
+                "--params-in", weights, "--params-out", out]) == 2
+    err = one_error_line(capsys)
+    assert "--params-in" in err and "--groundings" in err
+    assert not out.exists()
+
+
 def test_train_refuses_groundings_of_other_queries(workspace, capsys):
     # records pair with examples by position, so each must hold its
     # example's query
@@ -277,6 +294,21 @@ def test_ground_writes_quoted_feature_name(tmp_path):
     assert run(["train", *ws, "--groundings", graphs,
                 "--params-out", weights]) == 0
     assert "by('a)b')" in load_params(weights.read_text())
+
+
+def test_ground_refuses_a_quoted_name_with_a_line_break(tmp_path, capsys):
+    # the name would reach a record's sol line and split it in two
+    rules = tmp_path / "rules.pl"
+    rules.write_text("p(X,Y) :- q(X,Z), r(Z,Y).\nr(Z,'a\nb') :- true # f.\n")
+    (tmp_path / "facts.tsv").write_text("q\tx\tz1\n")
+    (tmp_path / "train.tsv").write_text("p(x,Y)\t+p(x,y)\n")
+    out = tmp_path / "graphs.tsv"
+    assert run(["ground", "--rules", rules, "--facts", tmp_path / "facts.tsv",
+                "--train", tmp_path / "train.tsv", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error\t{rules} line 2, column 5: a quoted name may not hold a tab "
+        f"or a line break\n")
+    assert not out.exists()
 
 
 def test_ground_names_the_example_that_fails(tmp_path, capsys):

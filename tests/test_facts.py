@@ -161,7 +161,8 @@ def test_loader_matches_line_at_a_time_loader(monkeypatch, name):
     assert new.arg_index.keys() == old.arg_index.keys()
     stored = {row: row for rows in new.tuples.values() for row in rows}
     for key, posting in new.arg_index.items():
-        assert posting == old.arg_index[key]
+        assert type(posting) is tuple
+        assert posting == tuple(old.arg_index[key])
         assert all(row is stored[row] for row in posting)
 
 

@@ -37,6 +37,28 @@ def test_comments_and_quoted_constants():
     assert prog.clauses[0].head.args[0] == Const("Weird Const")
 
 
+# a tab and every line boundary that str.splitlines splits at
+BREAKS = ["\t", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+          "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", BREAKS, ids=map(repr, BREAKS))
+def test_quoted_name_refuses_tab_and_line_break(brk):
+    message = "a quoted name may not hold a tab or a line break"
+    with pytest.raises(ParseError) as exc:
+        parse_program(f"p(X) :- q(X).\nr(Z,  'a{brk}b') :- true # f.")
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        2, 7, message)
+    with pytest.raises(ParseError) as exc:   # an escaped one too
+        parse_program(f"p('a\\{brk}b').")
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        1, 3, message)
+    with pytest.raises(ParseError) as exc:
+        parse_atom(f"'q{brk}'(a)")
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        1, 1, message)
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError) as exc:
         parse_program("p(X) :- .")
