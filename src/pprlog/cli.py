@@ -20,9 +20,9 @@ since ``train --groundings`` needs one record per example).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .facts import FactError, load_facts
@@ -36,19 +36,40 @@ from .weights import (WEIGHT_FNS, ParameterVector, left_sum, load_params,
                       save_params)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--rules", required=True, help="rules file")
-    p.add_argument("--facts", required=True, help="TSV facts file")
+def _add_common(p: argparse.ArgumentParser, required: bool = True):
+    p.add_argument("--rules", required=required, help="rules file")
+    p.add_argument("--facts", required=required, help="TSV facts file")
     p.add_argument("--params-in", help="load learned weights (TSV)")
-    p.add_argument("--alpha", type=float, default=0.2)
+    # --alpha and --epsilon, when not given, keep GroundingParams's defaults
+    p.add_argument("--alpha", type=float)
     p.add_argument("--alpha-prime", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--weightfn", choices=sorted(WEIGHT_FNS), default="linear")
+
+
+def _misused(args) -> tuple[str, list[str]]:
+    """(why, options): the options given that the run would not read, or
+    the ones it needs and lacks; no options if there are none."""
+    def given(*options: str) -> list[str]:
+        return [o for o in options
+                if getattr(args, o[2:].replace("-", "_")) is not None]
+    if args.command == "answer" and not args.exact:
+        return "not read without --exact", given("--max-t")
+    if args.command != "train":
+        return "", []
+    if args.groundings:     # the records hold what these options shape
+        return "not read with --groundings", given("--params-in", "--alpha",
+                                                   "--epsilon")
+    return "required without --groundings", [
+        o for o in ("--rules", "--facts") if not given(o)]
 
 
 def _weighting(args):
     """The grounding parameters, weights and weighting function."""
-    params = GroundingParams(args.alpha, args.alpha_prime, args.epsilon)
+    given = {key: value for key, value in (
+        ("alpha", args.alpha), ("epsilon", args.epsilon),
+        ("max_T", getattr(args, "max_t", None))) if value is not None}
+    params = GroundingParams(alpha_prime=args.alpha_prime, **given)
     w = ParameterVector()
     if args.params_in:
         try:
@@ -121,7 +142,6 @@ def cmd_answer(args) -> int:
     t0 = time.perf_counter()
     program, store, params, w, fn = _setup(args)
     t_load = time.perf_counter() - t0
-    params = replace(params, max_T=args.max_t)
     queries = _read_queries(args.queries)
     out, t_ground, t_ppr = [], 0.0, 0.0
     for q in queries:
@@ -138,9 +158,7 @@ def cmd_answer(args) -> int:
                 t0 = time.perf_counter()
                 g, p, _ = approximate_ground(q, program, store, params, w, fn)
                 t_ground += time.perf_counter() - t0
-                v = [0.0] * g.num_nodes
-                for nid, mass in p.items():
-                    v[nid] = mass
+                v = [p.get(nid, 0.0) for nid in range(g.num_nodes)]
             answers = extract_answers(g, v)
             out.append(f"query\t{q!r}")
             for rank, (answer, prob) in enumerate(answers, 1):
@@ -184,26 +202,16 @@ def cmd_ground(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # records hold their groundings: no rules or facts are read for them,
-    # and weights, which shape only a grounding, would change nothing
-    if args.groundings and args.params_in:
-        print("error\t--params-in shapes only the grounding, which "
-              "--groundings records already hold; give one of the two",
-              file=sys.stderr)
-        return 2
-    if args.groundings:
-        params, w, fn = _weighting(args)
-    else:
-        program, store, params, w, fn = _setup(args)
-    numbered = _read_examples(args.train)
-    examples = [ex for _, ex in numbered]
     cfg = SgdConfig(mu=args.mu, eta=args.eta, epochs=args.epochs,
                     loss=args.loss)
     if args.groundings:
+        # records hold their groundings: no rules or facts are read for them
+        params, w, fn = _weighting(args)
+        numbered = _read_examples(args.train)
         graphs = deserialize(Path(args.groundings).read_text())
-        if len(graphs) != len(examples):
+        if len(graphs) != len(numbered):
             print(f"error\t{args.groundings} holds {len(graphs)} groundings "
-                  f"but {args.train} holds {len(examples)} examples",
+                  f"but {args.train} holds {len(numbered)} examples",
                   file=sys.stderr)
             return 2
         for i, ((lineno, ex), g) in enumerate(zip(numbered, graphs), 1):
@@ -213,12 +221,12 @@ def cmd_train(args) -> int:
                       f"{ex.query!r}", file=sys.stderr)
                 return 2
         groundings = [label_grounding(ex, g)
-                      for ex, g in zip(examples, graphs)]
+                      for (_, ex), g in zip(numbered, graphs)]
     else:
-        groundings = _ground_numbered(args.train, numbered, program, store,
-                                      params, w, fn)
-    usable = [lg for lg in groundings if lg.usable]
-    if not usable:
+        program, store, params, w, fn = _setup(args)
+        groundings = _ground_numbered(args.train, _read_examples(args.train),
+                                      program, store, params, w, fn)
+    if not any(lg.usable for lg in groundings):
         print("error\tno usable training examples "
               "(each needs a positive and a negative in its grounding)",
               file=sys.stderr)
@@ -237,12 +245,10 @@ def _read_answers(path: str):
     per_query: dict[str, dict[str, float]] = {}
     scores = None   # the current query's answers
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
         kind, _, rest = line.partition("\t")
         if kind == "query":
             scores = per_query.setdefault(rest, {})
-        elif kind == "error":
+        elif kind == "error" or not line.strip():
             continue
         elif scores is None:
             raise ValueError(f"{path} line {lineno}: an answer before any "
@@ -254,16 +260,21 @@ def _read_answers(path: str):
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: expected rank<TAB>"
                                  f"probability<TAB>answer") from None
+            if not (kind.isdecimal() and int(kind) > 0):
+                raise ValueError(f"{path} line {lineno}: rank {kind!r} is "
+                                 f"not a positive integer")
+            if not math.isfinite(scores[answer]):
+                raise ValueError(f"{path} line {lineno}: probability "
+                                 f"{prob!r} is not a finite number")
     return per_query
 
 
 def cmd_eval(args) -> int:
     per_query = _read_answers(args.answers)
-    examples = [ex for _, ex in _read_examples(args.labels)]
     lines = []
     maps = []
     wins = pairs = 0.0
-    for ex in examples:
+    for _, ex in _read_examples(args.labels):
         scores = per_query.get(repr(ex.query), {})
         relevant = set(ex.positives)
         universe = set(scores) | relevant | set(ex.negatives)
@@ -290,22 +301,21 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import (CITATION_RULES, HYPERLINK_RULES, SyntheticDbSpec,
                         citation_corpus, hyperlink_db)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.task == "hyperlink":
         spec = SyntheticDbSpec(args.entities, args.degree, args.vocab,
                                args.seed)
         facts, queries = hyperlink_db(spec, num_queries=args.queries)
-        (outdir / "rules.pl").write_text(HYPERLINK_RULES)
-        (outdir / "facts.tsv").write_text(facts)
-        (outdir / "queries.txt").write_text(queries)
+        files = {"rules.pl": HYPERLINK_RULES, "queries.txt": queries}
     else:
         facts, train, test = citation_corpus(num_papers=args.papers,
                                              seed=args.seed)
-        (outdir / "rules.pl").write_text(CITATION_RULES)
-        (outdir / "facts.tsv").write_text(facts)
-        (outdir / "train.tsv").write_text(train)
-        (outdir / "test.tsv").write_text(test)
+        files = {"rules.pl": CITATION_RULES, "train.tsv": train,
+                 "test.tsv": test}
+    # nothing is written unless all the data could be made
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in {**files, "facts.tsv": facts}.items():
+        (outdir / name).write_text(text)
     return 0
 
 
@@ -323,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("answer", help="rank answers for queries")
     _add_common(p)
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--max-t", type=int, default=100,
-                   help="--exact: grounding depth and power iterations")
+    p.add_argument("--max-t", type=int, help="--exact: grounding depth and "
+                   "power iterations (default 100)")
     p.add_argument("--queries", required=True)
     p.add_argument("--exact", action="store_true",
                    help="full grounding + power iteration")
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("train", help="learn feature weights")
-    _add_common(p)
+    _add_common(p, required=False)
     p.add_argument("--train", required=True)
     p.add_argument("--groundings", help="reuse serialized groundings "
                    "(then --rules and --facts are not read)")
@@ -372,8 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    why, options = _misused(args)
+    if options:
+        print(f"error\tpprlog {args.command}: the following arguments are "
+              f"{why}: {', '.join(options)} (see --help)", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except Exception as e:

@@ -144,40 +144,50 @@ def _shape(node: ProofNode) -> tuple[int, ...]:
     return tuple(map(and_, node, map(rshift, node, repeat(63))))
 
 
-def _row_template(node: ProofNode, o: int, e: int) -> itemgetter:
-    """``row + node -> the child`` for every row matching the database goal
-    ``node[o:e]`` and every state of ``node``'s shape with that goal.
+def _first_places(flat, start: int = 0) -> dict[int, int]:
+    """Each variable of ``flat`` -> its first place, counted from ``start``."""
+    return {a: i for i, a in reversed(list(enumerate(flat, start))) if a < 0}
 
-    A child is the state without the goal, the goal's variables bound to
-    the row and the other variables renamed alike for every row: each of
-    its ints is one item of ``row + node``.  A constant, length, arity or
-    id is the int at the same place in the state, a goal variable is the
-    row's value in the goal's first column holding it, and another
-    variable, renamed -k, is the first int of the state holding -k (a
-    canonical state holds each of -1..-n).  So one template serves every
-    state of the shape and goal, whatever its constants.
+
+def _template(node: ProofNode, o: int, e: int, body, sigma: dict, at: dict,
+              first: dict, extra: dict) -> itemgetter:
+    """``node + tail -> the child`` for every state of ``node``'s shape
+    with its goal at ``node[o:e]``: the child is ``node[:o] + body +
+    node[e:]`` under ``sigma``, its variables named by ``_renaming``.
+
+    Each int of the child is one item of ``node + tail``, so one template
+    serves every state of the shape, whatever its constants.  A query or
+    rest int that is not a variable is the one at its own place.  A
+    variable whose value changes from state to state or from tail to
+    tail is item ``at[v]``: a database goal's variable its row column, a
+    head variable bound to a goal constant that constant's place.  A
+    variable renamed -k is item ``first[-k]``, the first place of the
+    state that holds -k (a canonical state holds each of -1..-n).  Any
+    other int, a clause's own or a fresh -k past -n, is item ``extra[a]``,
+    added if new, so the tail ``tuple(extra)`` gives those ints.
     """
-    arity = node[o]
-    column: dict[int, int] = {}
-    for j, a in enumerate(node[o + 2:e]):
-        if a < 0:
-            column.setdefault(a, j)
-    first: dict[int, int] = {}
-    for i, a in enumerate(node):
-        if a < 0:
-            first.setdefault(a, arity + i)
-    renamed: dict[int, int] = {}
+    raw = node[:o] + body + node[e:]
+    m = _renaming(raw, {**sigma, **at})
     picks = []
-    for i in chain(range(o), range(e, len(node))):
-        a = node[i]
-        if a >= 0:
-            picks.append(arity + i)
-        elif a in column:
-            picks.append(column[a])
+    for i, a in zip(chain(range(o), repeat(None, len(body)),
+                          range(e, len(node))), raw):
+        if a >= 0 and i is not None:
+            picks.append(i)
+        elif a in at:
+            picks.append(at[a])
         else:
-            picks.append(first[renamed.setdefault(a, -1 - len(renamed))])
+            a = m.get(a, a)
+            picks.append(first[a] if a in first else
+                         extra.setdefault(a, len(node) + len(extra)))
     # the query part makes two picks or more, so the getter gives tuples
     return itemgetter(*picks)
+
+
+def _row_template(node: ProofNode, o: int, e: int) -> itemgetter:
+    """``node + row -> the child`` (see ``_template``) for every row
+    matching the database goal ``node[o:e]``, bound at its first column."""
+    column = _first_places(node[o + 2:e], len(node))
+    return _template(node, o, e, (), {}, column, _first_places(node), {})
 
 
 def make_node(query: tuple[Atom, ...], subgoals: tuple[Atom, ...]) -> ProofNode:
@@ -223,13 +233,10 @@ class Prover:
     Each clause is compiled once to int-coded atoms, its body laid out
     flat as in a ``ProofNode`` and its variables numbered at or below
     ``-APART``; a state's variables are -1..-n, so every clause is apart
-    from every state as it stands.  ``step`` expands a state in one call
-    and gives its restart vector with its successors.  Database goals are
-    expanded through row templates (see ``_row_template``), compiled once
-    per prover for each state shape and goal place, and goals of
-    predicates whose clause heads are all distinct variables through rule
-    templates (see ``_rule_step``), compiled for each predicate, state
-    shape and goal place.
+    from every state as it stands.  Database goals and goals of
+    predicates whose clause heads are all distinct variables are
+    expanded through templates (see ``_template``), compiled once per
+    prover for each goal place and state shape.
     """
 
     def __init__(self, program: Program, store: FactStore):
@@ -335,14 +342,12 @@ class Prover:
                 template = self._templates[key] = _row_template(node, o, e)
             rows = self.store.match(goal)
             # every match has the features {db: 1.0}: children merge by state
-            counts = Counter(map(template, map(add, rows, repeat(node))))
+            counts = Counter(map(template, map(add, repeat(node), rows)))
             once = self._db_once
             successors = [(ProofNode(child), once if k == 1
                            else self.vector(((DB_FEATURE, float(k)),)))
                           for child, k in counts.items()]
-            if alpha is None:
-                return successors, None
-            return successors, self.vector(
+            return successors, None if alpha is None else self.vector(
                 ((RESTART_FEATURE, len(rows) * alpha / (1.0 - alpha)),))
         pred = (goal[0], len(goal))
         unit = self._units.get(pred)
@@ -388,7 +393,7 @@ class Prover:
         return self._merge(steps), self._unit_restart
 
     def expand(self, node: ProofNode) -> list[tuple[ProofNode, FeatureVector]]:
-        """Successors of a non-solution node, excluding the restart edge.
+        """Successors of a non-solution node: ``step`` without the restart.
 
         One successor per applicable clause mgu on the leftmost subgoal,
         or one per database match.  Parallel edges with identical feature
@@ -397,18 +402,12 @@ class Prover:
         for it (see ``vector``), shared by every successor and every call
         that gives it, so callers must not mutate it.
 
-        A database match's child is one call of the row template for the
-        state's shape (see ``_row_template``).
-
         A ground goal of a predicate defined only by body-less clauses
         whose heads are distinct variables and whose features name only
         head variables (``linkedBy(X,Y,W) :- true # by(W)``) takes the
-        unit-rule step: every clause matches, binding its head to the
-        goal, and leaves the node without the goal.  That node is the one
-        child, canonical as it stands since the goal held no variable, and
-        no unifier or renaming is built.  Any other goal of a predicate
-        whose clause heads are all distinct variables takes the rule
-        templates of ``_rule_step``.  This is ``step`` without the restart.
+        unit-rule step: every clause matches and leaves the node without
+        the goal, its one child, canonical as it stands since the goal held
+        no variable, so no unifier or renaming is built.
         """
         return self.step(node, None)[0]
 
@@ -416,50 +415,33 @@ class Prover:
         """The compiled step for the goal ``node[o:e]``, of a predicate
         whose clause heads are all distinct variables, and every state of
         ``node``'s shape with a goal of that predicate there; None if some
-        clause's features are not ground on such states.
+        clause's features are not ground on such states, so that the
+        general path raises the error, naming the clause variable.
 
-        Every head unifies with the goal, and the unifier binds a head
-        variable to the goal's constant or to a goal variable only by the
-        place it has in the head.  So, as in ``_row_template``, each int of
-        a child is one item of ``node + extra``, where ``extra`` holds the
-        clause's own ints and the renamed variables -k, alike for every
-        state of the shape.  Returns (extra, steps, args, vectors): per
-        clause (clause, features, source, child template), with
-        ``source`` mapping each head variable bound to a goal constant to
-        that constant's place in the state; ``args(node)`` picks the goal
-        constants the features use, and ``vectors`` maps those to the
-        clauses' vectors once worked out.  The key holds the predicate,
-        since the shape does not: two predicates' goals of one shape take
-        other clauses.  A clause variable left free in a feature would be
-        a variable on every such state; the general path then raises the
-        error, naming it by its name in the clause.
+        Every head unifies with the goal and binds each head variable by
+        its place alone, so each clause's child is one ``_template`` call
+        on ``node + extra``.  Returns (extra, steps, args, vectors): per
+        clause (clause, features, source, child template), ``source``
+        taking each head variable bound to a goal constant to that
+        constant's place; ``args(node)`` picks the goal constants the
+        features use, and ``vectors`` maps those to the clauses' vectors
+        once worked out.
         """
         goal = node[o + 1:e]
-        fixed: dict[int, int] = {}      # an int of extra -> its item index
-
-        def pick(a: int) -> int:
-            return fixed.setdefault(a, len(node) + len(fixed))
+        first = _first_places(node)
+        extra: dict[int, int] = {}
         steps = []
         used: set[int] = set()
         for clause, head, body, features in self._clauses[goal[0]]:
-            sigma = _unify(goal, head)
             source = {h: o + 1 + j for j, h in enumerate(head)
                       if j and goal[j] >= 0}
-            for a in chain.from_iterable(features):
-                if a < 0:
-                    if a not in source:
-                        return None
-                    used.add(source[a])
-            raw = node[:o] + body + node[e:]
-            m = _renaming(raw, sigma)
-            picks = [i if a >= 0 else pick(m[a])
-                     for i, a in enumerate(node[:o])]
-            picks += [pick(a) if a >= 0 else source[a] if a in source
-                      else pick(m[a]) for a in body]
-            picks += [i if a >= 0 else pick(m[a])
-                      for i, a in enumerate(node[e:], e)]
-            steps.append((clause, features, source, itemgetter(*picks)))
-        return tuple(fixed), steps, itemgetter(o + 1, *sorted(used)), {}
+            free = set(filter(_negative, chain.from_iterable(features)))
+            if not free.issubset(source):
+                return None
+            used.update(map(source.get, free))
+            steps.append((clause, features, source, _template(
+                node, o, e, body, _unify(goal, head), source, first, extra)))
+        return tuple(extra), steps, itemgetter(o + 1, *sorted(used)), {}
 
     def _merge(self, steps):
         """(child, phi) for the (child, phi) of each clause applied to a

@@ -43,8 +43,9 @@ class SyntheticDbSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.entity_count < 2:
-            raise ValueError("entity_count must be >= 2")
+        for name, low in (("entity_count", 2), ("vocab_size", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 def hyperlink_db(spec: SyntheticDbSpec, num_queries: int = 16,
@@ -54,6 +55,8 @@ def hyperlink_db(spec: SyntheticDbSpec, num_queries: int = 16,
     Per-entity out-degree and words-per-document are fixed, so local
     neighborhoods do not grow with entity_count.
     """
+    if num_queries < 0:
+        raise ValueError("num_queries must be >= 0")
     rng = random.Random(spec.seed)
     n = spec.entity_count
     degree = max(1, int(round(spec.link_density)))
@@ -90,8 +93,8 @@ def citation_corpus(num_papers: int = 12, key_words: int = 1,
     citation outranks the true match; learning has to downweight the
     (globally reused, hence transferable) decoy-word features.
     """
-    if num_papers % 2:
-        raise ValueError("num_papers must be even (papers come in pairs)")
+    if num_papers % 2 or num_papers < 4:
+        raise ValueError("num_papers must be even and >= 4 (one pair per split)")
     rng = random.Random(seed)
     facts = []
     fields = ("author", "title", "venue")

@@ -123,6 +123,63 @@ def test_train_from_groundings_refuses_params_in(workspace, capsys):
     assert not out.exists()
 
 
+def test_train_from_groundings_needs_no_rules_or_facts(workspace):
+    groundings, out = workspace / "graphs.tsv", workspace / "w.tsv"
+    assert run(["ground", *common(workspace), "--train",
+                workspace / "train.tsv", "--out", groundings]) == 0
+    assert run(["train", "--train", workspace / "train.tsv", "--groundings",
+                groundings, "--epochs", "1", "--params-out", out]) == 0
+    assert load_params(out.read_text())
+
+
+@pytest.mark.parametrize("given,missing", [
+    ([], "--rules, --facts"), (["--rules", "r.pl"], "--facts"),
+    (["--facts", "f.tsv"], "--rules")])
+def test_train_without_groundings_needs_rules_and_facts(workspace, capsys,
+                                                        given, missing):
+    assert run(["train", "--train", workspace / "train.tsv", *given]) == 2
+    assert one_error_line(capsys) == (
+        f"error\tpprlog train: the following arguments are required "
+        f"without --groundings: {missing} (see --help)\n")
+
+
+@pytest.mark.parametrize("options,named", [
+    (["--alpha", "0.5"], "--alpha"),
+    (["--alpha", "5"], "--alpha"),
+    (["--epsilon", "0.1"], "--epsilon"),
+    (["--epsilon", "1e-4", "--params-in", "w.tsv", "--alpha", "0.2"],
+     "--params-in, --alpha, --epsilon")])
+def test_train_from_groundings_refuses_grounding_options(workspace, capsys,
+                                                         options, named):
+    # --alpha and --epsilon, like --params-in, shape only the grounding,
+    # and the records hold it: given, even at their defaults, they would
+    # change nothing
+    groundings, out = workspace / "graphs.tsv", workspace / "out.tsv"
+    assert run(["ground", *common(workspace), "--train",
+                workspace / "train.tsv", "--out", groundings]) == 0
+    capsys.readouterr()
+    assert run(["train", "--train", workspace / "train.tsv", "--groundings",
+                groundings, *options, "--params-out", out]) == 2
+    assert one_error_line(capsys) == (
+        f"error\tpprlog train: the following arguments are not read with "
+        f"--groundings: {named} (see --help)\n")
+    assert not out.exists()
+
+
+def test_answer_refuses_horizon_without_exact(workspace, capsys):
+    # --max-t bounds only --exact; the push loop has no horizon
+    out = workspace / "answers.tsv"
+    assert run(["answer", *common(workspace), "--queries",
+                workspace / "queries.txt", "--max-t", "1", "--out", out]) == 2
+    assert one_error_line(capsys) == (
+        "error\tpprlog answer: the following arguments are not read "
+        "without --exact: --max-t (see --help)\n")
+    assert not out.exists()
+    assert run(["answer", *common(workspace), "--queries",
+                workspace / "queries.txt", "--max-t", "1", "--exact",
+                "--out", out]) == 0
+
+
 def test_train_refuses_groundings_of_other_queries(workspace, capsys):
     # records pair with examples by position, so each must hold its
     # example's query
@@ -219,6 +276,37 @@ def test_synth_citation_is_trainable(tmp_path):
                 "--epochs", "1", "--epsilon", "1e-3",
                 "--params-out", params]) == 0
     assert len(load_params(params.read_text())) > 0
+
+
+PAPERS = "num_papers must be even and >= 4"
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--task", "citation", "--papers", "2"], PAPERS),
+    (["--task", "citation", "--papers", "0"], PAPERS),
+    (["--task", "citation", "--papers", "-2"], PAPERS),
+    (["--task", "citation", "--papers", "5"], PAPERS),
+    (["--task", "hyperlink", "--vocab", "-1"], "vocab_size must be >= 0"),
+    (["--task", "hyperlink", "--queries", "-1"], "num_queries must be >= 0"),
+], ids=["papers-2", "papers-0", "papers-negative", "papers-odd",
+        "vocab-negative", "queries-negative"])
+def test_synth_refuses_what_it_cannot_honour(tmp_path, capsys, options,
+                                              message):
+    # two papers would put their one pair in the test split and leave
+    # train.tsv empty; a negative count has no meaning
+    assert run(["synth", *options, "--out-dir", tmp_path / "d"]) == 1
+    assert one_error_line(capsys).startswith(f"error\t{message}")
+    assert not (tmp_path / "d" / "facts.tsv").exists()
+
+
+def test_synth_smallest_accepted_inputs(tmp_path):
+    assert run(["synth", "--task", "citation", "--papers", "4",
+                "--out-dir", tmp_path / "c"]) == 0
+    assert (tmp_path / "c" / "train.tsv").read_text().strip()
+    assert (tmp_path / "c" / "test.tsv").read_text().strip()
+    assert run(["synth", "--task", "hyperlink", "--vocab", "0",
+                "--queries", "0", "--out-dir", tmp_path / "h"]) == 0
+    assert "hasWord" not in (tmp_path / "h" / "facts.tsv").read_text()
 
 
 def test_bad_rules_file_exits_nonzero(tmp_path, capsys):
@@ -461,7 +549,7 @@ def test_every_flag_is_read(workspace):
          "--out", ws / "scores.tsv"],
         ["synth", "--task", "hyperlink", "--entities", "8", "--queries", "2",
          "--out-dir", ws / "h"],
-        ["synth", "--task", "citation", "--papers", "2", "--out-dir", ws / "c"],
+        ["synth", "--task", "citation", "--papers", "4", "--out-dir", ws / "c"],
     ]
     read: set[str] = set()
 
@@ -536,6 +624,29 @@ def test_eval_refuses_bad_rank_line(tmp_path, capsys, bad):
                 "--labels", tmp_path / "labels.tsv"]) != 0
     err = one_error_line(capsys)
     assert f"{tmp_path / 'answers.tsv'} line 3: " in err
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1\tnan\tq(a,p1)", "probability 'nan' is not a finite number"),
+    ("1\tinf\tq(a,p1)", "probability 'inf' is not a finite number"),
+    ("1\t-inf\tq(a,p1)", "probability '-inf' is not a finite number"),
+    ("foo\t0.4\tq(a,p1)", "rank 'foo' is not a positive integer"),
+    ("0\t0.4\tq(a,p1)", "rank '0' is not a positive integer"),
+    ("-1\t0.4\tq(a,p1)", "rank '-1' is not a positive integer"),
+    ("1.5\t0.4\tq(a,p1)", "rank '1.5' is not a positive integer"),
+], ids=["nan", "inf", "-inf", "word", "zero", "negative", "fraction"])
+def test_eval_refuses_a_rank_line_it_would_misread(tmp_path, capsys, bad,
+                                                   message):
+    # a NaN-scored positive would lose to every negative and eval would
+    # print its MAP and AUC as if the file were sound
+    answers = tmp_path / "answers.tsv"
+    answers.write_text(f"query\tq(a,X)\n{bad}\n2\t0.3\tq(a,n1)\n")
+    (tmp_path / "labels.tsv").write_text("q(a,X)\t+q(a,p1)\t-q(a,n1)\n")
+    out = tmp_path / "scores.tsv"
+    assert run(["eval", "--answers", answers, "--labels",
+                tmp_path / "labels.tsv", "--out", out]) == 1
+    assert one_error_line(capsys) == f"error\t{answers} line 2: {message}\n"
+    assert not out.exists()
 
 
 def test_answer_refuses_unparsable_query(workspace, capsys):

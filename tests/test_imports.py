@@ -60,9 +60,10 @@ def referenced_names() -> set[str]:
 
 
 def unused_definitions() -> list[str]:
-    """``file:line name`` for each public function, class or method of
-    the library that nothing in the library or the benchmark refers to.
-    A method that overrides one of a base class is used through it."""
+    """``file:line name`` for each module-level function or class of the
+    library, public or private, and each public method, that nothing in
+    the library or the benchmark refers to.  A method that overrides one
+    of a base class is used through it."""
     used = referenced_names()
     unused = []
     for path in sorted(SRC.glob("*.py")):
@@ -72,7 +73,7 @@ def unused_definitions() -> list[str]:
         for node in ast.parse(path.read_text(), str(path)).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") and node.name not in used:
+            if not node.name.startswith("__") and node.name not in used:
                 unused.append(f"{rel}:{node.lineno} {node.name}")
             if isinstance(node, ast.ClassDef):
                 bases = getattr(module, node.name).__mro__[1:]

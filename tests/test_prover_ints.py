@@ -222,7 +222,7 @@ def test_row_template_matches_state_per_row(query, rest, goal, values):
         s = {a: v for a, v in zip(node[o + 2:e], row) if a < 0}
         expected.append(_state(raw, _renaming(raw, s)))
     template = _row_template(node, o, e)
-    assert [ProofNode(template(row + node)) for row in rows] == expected
+    assert [ProofNode(template(node + row)) for row in rows] == expected
 
 
 def test_states_of_one_shape_get_their_own_constants():

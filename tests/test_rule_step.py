@@ -15,6 +15,7 @@ from test_prover_ints import ref_expand, ref_node, relations
 from test_unit_step import general_path, items
 from pprlog.facts import load_facts
 from pprlog.grounder import (GroundingError, GroundingParams, Prover,
+                             _goal_span, _renaming, _state, _unify,
                              approximate_ground, ground_full, make_node)
 from pprlog.graph import DB_FEATURE, RESTART_FEATURE
 from pprlog.parser import parse_atom, parse_program
@@ -75,6 +76,26 @@ def test_rule_templates_match_general_path_and_reference(query, subgoals):
     other = state(query.replace("a", "b"), subgoals.replace("a", "b"))
     assert_agrees(prover, other)
     assert len(prover._rule_steps) == steps
+
+
+@pytest.mark.parametrize("query,subgoals", [
+    ("q(Z)", "p(Z,Z)"), ("s(Z,W)", "p(Z,a),t(W,Z)"), ("s(Z)", "p(a,Z)"),
+    ("s(Z,W)", "r(a,Z),p(Z,W)"), ("s(Z)", "u(a,Z),p(Z,Z)"),
+], ids=["repeated", "in-query", "fresh", "fresh-after", "features"])
+def test_rule_template_gives_the_renamed_state(query, subgoals):
+    # each clause's template over the state and the compiled tail gives
+    # the state the general path renames, compared as plain ints so that
+    # a malformed child fails here rather than in its repr
+    prover = Prover(parse_program(RULES), load_facts(FACTS))
+    node = state(query, subgoals)
+    o, e = _goal_span(node)
+    goal = node[o + 1:e]
+    extra, steps, _, _ = prover._rule_step(node, o, e)
+    want = []
+    for _, head, body, _ in prover._clauses[goal[0]]:
+        raw = node[:o] + body + node[e:]
+        want.append(tuple(_state(raw, _renaming(raw, _unify(goal, head)))))
+    assert [tuple(child(node + extra)) for _, _, _, child in steps] == want
 
 
 @pytest.mark.parametrize("goal,want", [
