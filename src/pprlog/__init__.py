@@ -10,8 +10,7 @@ from .facts import FactStore, load_facts
 from .graph import GroundedGraph, NumericGraph, deserialize, serialize
 from .grounder import (GroundingParams, Prover, approximate_ground,
                        ground_full, pagerank_nibble, start_node)
-from .inference import (AnswerList, auc, average_precision, extract_answers,
-                        power_iterate)
+from .inference import auc, average_precision, extract_answers, power_iterate
 from .learner import (SgdConfig, TrainingExample, example_gradient,
                       pair_loss, ppr_gradient, train)
 from .parser import Clause, Program, parse_atom, parse_program

@@ -55,6 +55,10 @@ def _misused(args) -> tuple[str, list[str]]:
                 if getattr(args, o[2:].replace("-", "_")) is not None]
     if args.command == "answer" and not args.exact:
         return "not read without --exact", given("--max-t")
+    if args.command == "synth":
+        return f"not read with --task {args.task}", given(*(
+            ("--papers",) if args.task == "hyperlink" else
+            ("--entities", "--degree", "--vocab", "--queries")))
     if args.command != "train":
         return "", []
     if args.groundings:     # the records hold what these options shape
@@ -64,12 +68,17 @@ def _misused(args) -> tuple[str, list[str]]:
         o for o in ("--rules", "--facts") if not given(o)]
 
 
+def _given(**values) -> dict:
+    """The ``values`` of the options given: the library's defaults hold
+    for the ones left out."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _weighting(args):
     """The grounding parameters, weights and weighting function."""
-    given = {key: value for key, value in (
-        ("alpha", args.alpha), ("epsilon", args.epsilon),
-        ("max_T", getattr(args, "max_t", None))) if value is not None}
-    params = GroundingParams(alpha_prime=args.alpha_prime, **given)
+    params = GroundingParams(alpha_prime=args.alpha_prime, **_given(
+        alpha=args.alpha, epsilon=args.epsilon,
+        max_T=getattr(args, "max_t", None)))
     w = ParameterVector()
     if args.params_in:
         try:
@@ -302,13 +311,14 @@ def cmd_synth(args) -> int:
     from .synth import (CITATION_RULES, HYPERLINK_RULES, SyntheticDbSpec,
                         citation_corpus, hyperlink_db)
     if args.task == "hyperlink":
-        spec = SyntheticDbSpec(args.entities, args.degree, args.vocab,
-                               args.seed)
-        facts, queries = hyperlink_db(spec, num_queries=args.queries)
+        spec = SyntheticDbSpec(seed=args.seed, **_given(
+            entity_count=args.entities, link_density=args.degree,
+            vocab_size=args.vocab))
+        facts, queries = hyperlink_db(spec, **_given(num_queries=args.queries))
         files = {"rules.pl": HYPERLINK_RULES, "queries.txt": queries}
     else:
-        facts, train, test = citation_corpus(num_papers=args.papers,
-                                             seed=args.seed)
+        facts, train, test = citation_corpus(seed=args.seed, **_given(
+            num_papers=args.papers))
         files = {"rules.pl": CITATION_RULES, "train.tsv": train,
                  "test.tsv": test}
     # nothing is written unless all the data could be made
@@ -369,11 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic data")
     p.add_argument("--task", choices=["hyperlink", "citation"],
                    default="hyperlink")
-    p.add_argument("--entities", type=int, default=64)
-    p.add_argument("--degree", type=float, default=4.0)
-    p.add_argument("--vocab", type=int, default=50)
-    p.add_argument("--papers", type=int, default=12)
-    p.add_argument("--queries", type=int, default=16)
+    # these keep the generators' defaults where not given
+    p.add_argument("--entities", type=int, help="hyperlink (default 64)")
+    p.add_argument("--degree", type=float, help="hyperlink (default 4.0)")
+    p.add_argument("--vocab", type=int, help="hyperlink (default 50)")
+    p.add_argument("--papers", type=int, help="citation (default 12)")
+    p.add_argument("--queries", type=int, help="hyperlink (default 16)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)

@@ -87,10 +87,15 @@ class ProofNode(tuple):
 
 def _atoms(flat, i: int, end: int) -> tuple[IntAtom, ...]:
     """The int-coded atoms of ``flat[i:end]``, where each is laid out as
-    ``(arity, pred_id, arg, ...)``."""
+    ``(arity, pred_id, arg, ...)``.  A negative arity or an atom that
+    runs past ``end`` raises ValueError: the state is malformed."""
     out = []
     while i < end:
         j = i + 2 + flat[i]
+        if j < i + 2 or j > end:
+            raise ValueError(f"malformed proof state: the atom at place {i} "
+                             f"has arity {flat[i]}, which is negative or "
+                             f"runs past place {end}")
         out.append(tuple(flat[i + 1:j]))
         i = j
     return tuple(out)
@@ -128,13 +133,6 @@ def _state(raw, m: dict[int, int]) -> ProofNode:
     """The state of the flat ``raw`` with ``m`` applied once; ``m`` maps
     variables only, so lengths, arities and ids are kept."""
     return ProofNode(map(m.get, raw, raw))
-
-
-def _goal_span(node: ProofNode) -> tuple[int, int]:
-    """(o, e): the leftmost subgoal of a non-solution node is
-    ``node[o:e]``, so ``node[o + 1:e]`` is its int-coded atom."""
-    o = 1 + node[0]
-    return o, o + 2 + node[o]
 
 
 def _shape(node: ProofNode) -> tuple[int, ...]:
@@ -455,14 +453,9 @@ class Prover:
                 for child, phi, mult in merged.values()]
 
     def restart_features(self, node: ProofNode, alpha: float) -> FeatureVector:
-        """Restart-edge features for a non-solution node: the restart
-        vector ``step`` gives, its database count from ``binding_count``
-        without building the rows."""
-        o, e = _goal_span(node)
-        if node[o + 1] in self.store.tuples:
-            n = self.store.binding_count(node[o + 1:e])
-            return self.vector(((RESTART_FEATURE, n * alpha / (1.0 - alpha)),))
-        return self._unit_restart
+        """Restart-edge features for a non-solution node: ``step`` without
+        the successors."""
+        return self.step(node, alpha)[1]
 
     def degree_lower_bound(self, node: ProofNode,
                            start: ProofNode) -> Optional[int]:

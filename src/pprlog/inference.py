@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import GroundedGraph, NumericGraph
@@ -25,25 +23,9 @@ def power_iterate(g: GroundedGraph, w: ParameterVector, fn: WeightFn,
     return v
 
 
-@dataclass
-class AnswerList:
-    """Ranked ground answers with renormalized probabilities.
-
-    ``z`` is the total walk mass on solution nodes before renormalizing;
-    z == 0 signals that no answer received mass.
-    """
-    items: list[tuple[str, float]]
-    z: float
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-
-def extract_answers(g: GroundedGraph, v) -> AnswerList:
-    """Collect solution-node mass and renormalize into answer scores."""
+def extract_answers(g: GroundedGraph, v) -> list[tuple[str, float]]:
+    """The ranked (answer, probability) pairs: each answer's solution-node
+    mass renormalized over all answers; [] when no answer has mass."""
     masses: dict[str, float] = {}
     for nid in sorted(g.solutions):
         mass = v[nid] if nid < len(v) else 0.0
@@ -51,10 +33,9 @@ def extract_answers(g: GroundedGraph, v) -> AnswerList:
         masses[answer] = masses.get(answer, 0.0) + float(mass)
     z = left_sum(masses.values())
     if z <= 0.0:
-        return AnswerList([], 0.0)
-    items = sorted(((a, m / z) for a, m in masses.items()),
-                   key=lambda kv: (-kv[1], kv[0]))
-    return AnswerList(items, z)
+        return []
+    return sorted(((a, m / z) for a, m in masses.items()),
+                  key=lambda kv: (-kv[1], kv[0]))
 
 
 def average_precision(ranked: list[str], relevant: set[str]) -> float:

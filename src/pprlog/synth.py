@@ -34,6 +34,15 @@ keytitleword(W) :- true # titleWord(W).
 keyvenueword(W) :- true # venueWord(W).
 """
 
+# hyperlink_db: words per document, and the chance a document is labeled
+WORDS_PER_DOC = 3
+LABELED_FRACTION = 0.25
+# citation_corpus: key words per field of a paper, the decoy words of each
+# field to draw from, and the share of partner pairs put in the test split
+KEY_WORDS = 1
+DECOY_POOL = 3
+TEST_FRACTION = 0.34
+
 
 @dataclass(frozen=True)
 class SyntheticDbSpec:
@@ -48,8 +57,7 @@ class SyntheticDbSpec:
                 raise ValueError(f"{name} must be >= {low}")
 
 
-def hyperlink_db(spec: SyntheticDbSpec, num_queries: int = 16,
-                 words_per_doc: int = 3, labeled_fraction: float = 0.25):
+def hyperlink_db(spec: SyntheticDbSpec, num_queries: int = 16):
     """Facts and query lines for a hyperlink-style database.
 
     Per-entity out-degree and words-per-document are fixed, so local
@@ -69,18 +77,17 @@ def hyperlink_db(spec: SyntheticDbSpec, num_queries: int = 16,
         for o in others:
             lines.append(f"links\t{d}\t{o}")
         for wid in rng.sample(range(spec.vocab_size),
-                              min(words_per_doc, spec.vocab_size)):
+                              min(WORDS_PER_DOC, spec.vocab_size)):
             lines.append(f"hasWord\t{d}\tw{wid}")
-        if rng.random() < labeled_fraction:
+        if rng.random() < LABELED_FRACTION:
             lines.append(f"handLabeled\t{d}\t{rng.choice(labels)}")
     queries = [f"about({d},Z)"
                for d in rng.sample(docs, min(num_queries, n))]
     return "\n".join(lines) + "\n", "\n".join(queries) + "\n"
 
 
-def citation_corpus(num_papers: int = 12, key_words: int = 1,
-                    decoys_per_field: int = 2, decoy_pool: int = 3,
-                    seed: int = 0, test_fraction: float = 0.34):
+def citation_corpus(num_papers: int = 12, decoys_per_field: int = 2,
+                    seed: int = 0):
     """A citation-matching corpus: facts plus train/test example lines.
 
     Papers come in partner pairs.  Each paper has two citations; the
@@ -102,11 +109,11 @@ def citation_corpus(num_papers: int = 12, key_words: int = 1,
     pair_decoys = {}
     for pair in range(num_papers // 2):
         pair_decoys[pair] = {
-            f: [f"{f}decoy{j}" for j in rng.sample(range(decoy_pool),
+            f: [f"{f}decoy{j}" for j in rng.sample(range(DECOY_POOL),
                                                    decoys_per_field)]
             for f in fields}
     for p in range(num_papers):
-        key = {f: [f"{f}k{p}_{i}" for i in range(key_words)] for f in fields}
+        key = {f: [f"{f}k{p}_{i}" for i in range(KEY_WORDS)] for f in fields}
         for c in range(2):
             bc = f"bc{p}_{c}"
             paper_cites.setdefault(p, []).append(bc)
@@ -119,14 +126,14 @@ def citation_corpus(num_papers: int = 12, key_words: int = 1,
                 elif f == "author":
                     words = list(key[f])  # the only overlap with c0
                 else:
-                    words = [f"{f}u{p}_{i}" for i in range(key_words)]
+                    words = [f"{f}u{p}_{i}" for i in range(KEY_WORDS)]
                 for wrd in words:
                     facts.append(f"hasword{f}\t{ent}\t{wrd}")
                     facts.append(f"hasword{f}inverse\t{wrd}\t{ent}")
 
     pairs = list(range(num_papers // 2))
     test_pairs = set(rng.sample(pairs,
-                                max(1, int(len(pairs) * test_fraction))))
+                                max(1, int(len(pairs) * TEST_FRACTION))))
     train_lines, test_lines = [], []
     for p, cites in paper_cites.items():
         partner = [bc for bc in paper_cites[p ^ 1]]

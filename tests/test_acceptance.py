@@ -257,7 +257,7 @@ def test_06_epsilon_vs_map_trend():
             v = np.zeros(g.num_nodes)
             for nid, mass in p.items():
                 v[nid] = mass
-            ranked = [a for a, _ in extract_answers(g, v).items]
+            ranked = [a for a, _ in extract_answers(g, v)]
             aps.append(average_precision(ranked, set(ex.positives)))
         return sum(aps) / len(aps)
 
@@ -267,7 +267,7 @@ def test_06_epsilon_vs_map_trend():
         g = ground_full(ex.query, program, store, GroundingParams(max_T=25),
                         w, LINEAR)
         v = power_iterate(g, w, LINEAR, T=300, tol=1e-12)
-        ranked = [a for a, _ in extract_answers(g, v).items]
+        ranked = [a for a, _ in extract_answers(g, v)]
         exact_aps.append(average_precision(ranked, set(ex.positives)))
     exact_map = sum(exact_aps) / len(exact_aps)
     ok = all(b >= a - 1e-9 for a, b in zip(maps, maps[1:]))
@@ -371,7 +371,7 @@ def citation_task():
             v = np.zeros(g.num_nodes)
             for nid, mass in p.items():
                 v[nid] = mass
-            scores = dict(extract_answers(g, v).items)
+            scores = dict(extract_answers(g, v))
             for pos in ex.positives:
                 for neg in ex.negatives:
                     sp, sn = scores.get(pos, 0.0), scores.get(neg, 0.0)

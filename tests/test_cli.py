@@ -299,6 +299,25 @@ def test_synth_refuses_what_it_cannot_honour(tmp_path, capsys, options,
     assert not (tmp_path / "d" / "facts.tsv").exists()
 
 
+@pytest.mark.parametrize("task,options,named", [
+    ("citation", ["--vocab", "-1", "--entities", "1"], "--entities, --vocab"),
+    ("citation", ["--entities", "8", "--degree", "2", "--vocab", "5",
+                  "--queries", "3"], "--entities, --degree, --vocab, --queries"),
+    ("hyperlink", ["--papers", "3"], "--papers"),
+    ("hyperlink", ["--papers", "12"], "--papers"),
+], ids=["citation-two", "citation-all", "hyperlink-bad", "hyperlink-default"])
+def test_synth_refuses_the_other_tasks_options(tmp_path, capsys, task,
+                                              options, named):
+    # each generator reads its own task's options only; given, even at
+    # their defaults, the other task's would change nothing
+    assert run(["synth", "--task", task, *options,
+                "--out-dir", tmp_path / "d"]) == 2
+    assert one_error_line(capsys) == (
+        f"error\tpprlog synth: the following arguments are not read with "
+        f"--task {task}: {named} (see --help)\n")
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_smallest_accepted_inputs(tmp_path):
     assert run(["synth", "--task", "citation", "--papers", "4",
                 "--out-dir", tmp_path / "c"]) == 0

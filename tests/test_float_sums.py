@@ -58,9 +58,10 @@ def test_answer_mass_adds_from_the_left():
     g = GroundedGraph()
     for answer in ("q(a)", "q(b)", "q(c)"):
         g.solutions[add_node(g)] = answer
-    answers = extract_answers(g, np.array(LOST))
-    assert answers.z == 1e16
-    assert answers.items[0] == ("q(a)", 1.0)
+    # over the total 1e16; over the exactly rounded 1e16 + 2, q(a) would
+    # get 0.9999999999999998
+    assert extract_answers(g, np.array(LOST)) == [
+        ("q(a)", 1.0), ("q(b)", 1 / 1e16), ("q(c)", 1 / 1e16)]
 
 
 def test_residual_mass_adds_from_the_left():

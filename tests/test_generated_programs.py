@@ -8,7 +8,9 @@ states of up to a dozen subgoals.  From each drawn state and each start
 state, every state reached within a few steps is expanded by
 ``Prover.expand`` and by the reference of ``test_prover_ints``, which
 must give the same children, feature vectors and order; ``Prover.step``
-must give them with the restart vector ``restart_features`` gives.  At
+must give them with defRestart = n * alpha/(1-alpha) for a database goal
+of n matching rows, counted by ``FactStore.binding_count``, and with the
+unit restart for a rule goal.  At
 each, ``degree_lower_bound`` must not exceed the distinct targets, and
 grounding with it must give the p, r, graph and stats grounding without
 it gives, under LINEAR and under EXP weights.  Each grounding's record, its
@@ -24,7 +26,7 @@ from test_full_reference import assert_same, assert_within_residual
 from test_prover_ints import (NonGroundFeature, ref_expand, ref_node,
                               relations)
 from pprlog.facts import load_facts
-from pprlog.graph import deserialize, serialize
+from pprlog.graph import RESTART_FEATURE, deserialize, serialize
 from pprlog.grounder import (BudgetError, GroundingError, GroundingParams,
                              Prover, _name_answers, _ProverExpander,
                              make_node, pagerank_nibble, start_node)
@@ -139,9 +141,11 @@ def check_expansions(prover: Prover, facts: dict, node, start,
         successors = prover.expand(node)
         assert decoded(successors) == [((c.query, c.subgoals), phi)
                                        for c, phi in ref], node
-        # the one step per state gives both halves
+        goal = node.subgoals[0]
+        restart = (prover.store.binding_count(goal) * 0.2 / 0.8
+                   if goal[0] in prover.store.tuples else 1.0)
         assert prover.step(node, 0.2) == (
-            successors, prover.restart_features(node, 0.2)), node
+            successors, {RESTART_FEATURE: restart}), node
         compared += 1
         targets = {child for child, _ in successors} | {start}
         bound = prover.degree_lower_bound(node, start)

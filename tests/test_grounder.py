@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +94,48 @@ def test_restart_features_db_goal_scales_with_bindings():
 def test_restart_features_no_bindings_zero_weight(prover):
     node = start_node(parse_atom("links(z,Y)"))
     assert prover.restart_features(node, 0.2) == {RESTART_FEATURE: 0.0}
+
+
+def malformed(arity: int) -> grounder.ProofNode:
+    """<p(a) | p(a)> with its goal's arity, at place 4, set to ``arity``:
+    a state only a faulty prover makes."""
+    flat = list(start_node(parse_atom("p(a)")))
+    flat[4] = arity
+    return grounder.ProofNode(flat)
+
+
+@pytest.mark.parametrize("arity", [-1, 2], ids=["negative", "overrun"])
+def test_malformed_state_fails(arity):
+    # pytest prints a state's repr when a comparison of states fails
+    message = (f"malformed proof state: the atom at place 4 has arity "
+               f"{arity}, which is negative or runs past place 7")
+    with pytest.raises(ValueError, match=message):
+        malformed(arity).subgoals
+    with pytest.raises(ValueError, match=message):
+        repr(malformed(arity))
+
+
+def test_state_of_arity_minus_2_fails_instead_of_hanging():
+    # arity -2 leaves the atom walk in place; run it in a child process
+    # with a time limit and a memory cap, so that a walk that never ends
+    # fails the test instead of hanging the suite or filling memory
+    child = """if True:
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from test_grounder import malformed
+        try:
+            malformed(-2).subgoals
+        except ValueError as e:
+            print(e)
+        """
+    path = [Path(grounder.__file__).parent.parent, Path(__file__).parent]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(map(str, path))}
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, (
+        "malformed proof state: the atom at place 4 has arity -2, which is "
+        "negative or runs past place 7\n")), proc.stderr
 
 
 def test_alpha_equivalent_states_merge(prover):

@@ -1,5 +1,7 @@
-"""No module imports a name it never uses, and the library defines
-nothing that it and the benchmark never use.
+"""No module imports a name it never uses, the library defines nothing
+that it and the benchmark never use, and each defaulted parameter of
+the library is passed by some call in the library, the tests or the
+benchmark.
 
 Scans the syntax trees of the library modules (except ``__init__.py``,
 which imports names to re-export them), of the test modules and of the
@@ -90,3 +92,71 @@ def unused_definitions() -> list[str]:
 def test_library_defines_only_what_it_or_the_benchmark_uses():
     unused = unused_definitions()
     assert not unused, "unused definitions:\n" + "\n".join(unused)
+
+
+def passed_arguments() -> dict[str, list[tuple[float, set]]]:
+    """Each name called in the library, the tests or the benchmark ->
+    (positional arguments, keywords) of each call.  A ``*`` argument
+    passes every positional parameter, and a ``**`` one (keyword None)
+    every keyword."""
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                positional = (float("inf") if any(
+                    isinstance(a, ast.Starred) for a in node.args)
+                    else len(node.args))
+                calls.setdefault(name, []).append(
+                    (positional, {k.arg for k in node.keywords}))
+    return calls
+
+
+def unpassed_defaults() -> list[str]:
+    """``file:line function(parameter=)`` for each defaulted parameter of
+    a module-level function, or of a method of a module-level class, of
+    the library that no call of a function of that name passes, by
+    keyword or by position.  A class's ``__init__`` is called by the
+    class's name, and a method's calls do not pass ``self``."""
+    calls = passed_arguments()
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        rel = path.relative_to(ROOT)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [
+                    (node.name if item.name == "__init__" else item.name,
+                     item, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                    for d in item.decorator_list) else 1)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for name, fn, bound in functions:
+                a = fn.args
+                params = a.posonlyargs + a.args
+                first = len(params) - len(a.defaults)
+                defaulted = [(p.arg, i - bound) for i, p in
+                             enumerate(params[first:], first)]
+                defaulted += [(p.arg, float("inf")) for p, d in
+                              zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                unpassed += [
+                    f"{rel}:{fn.lineno} {name}({param}=)"
+                    for param, i in defaulted
+                    if not any(positional > i or param in keywords
+                               or None in keywords
+                               for positional, keywords
+                               in calls.get(name, ()))]
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant in disguise
+    unpassed = unpassed_defaults()
+    assert not unpassed, ("defaulted parameters that no call passes:\n"
+                          + "\n".join(unpassed))

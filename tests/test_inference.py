@@ -75,9 +75,8 @@ def test_extract_answers_renormalizes():
     g.solutions[1] = "q(a)"
     g.solutions[2] = "q(b)"
     answers = extract_answers(g, np.array([0.5, 0.3, 0.1]))
-    assert answers.z == pytest.approx(0.4)
-    assert answers.items == [("q(a)", pytest.approx(0.75)),
-                             ("q(b)", pytest.approx(0.25))]
+    assert answers == [("q(a)", pytest.approx(0.75)),
+                       ("q(b)", pytest.approx(0.25))]
 
 
 def test_extract_answers_scale_invariant():
@@ -89,15 +88,13 @@ def test_extract_answers_scale_invariant():
     v = np.array([0.5, 0.3, 0.1])
     a1 = extract_answers(g, v)
     a2 = extract_answers(g, 7.5 * v)
-    assert [p for _, p in a1.items] == pytest.approx(
-        [p for _, p in a2.items])
+    assert [p for _, p in a1] == pytest.approx([p for _, p in a2])
 
 
 def test_extract_answers_empty():
     g = GroundedGraph()
     add_node(g)
-    answers = extract_answers(g, np.array([1.0]))
-    assert answers.items == [] and answers.z == 0.0
+    assert extract_answers(g, np.array([1.0])) == []
 
 
 def test_extract_single_solution_probability_one():
@@ -106,7 +103,7 @@ def test_extract_single_solution_probability_one():
         add_node(g)
     g.solutions[1] = "q(a)"
     answers = extract_answers(g, np.array([0.9, 0.001]))
-    assert answers.items == [("q(a)", pytest.approx(1.0))]
+    assert answers == [("q(a)", pytest.approx(1.0))]
 
 
 RANKINGS = {

@@ -12,7 +12,7 @@ from pprlog.inference import power_iterate
 from pprlog.learner import (LabeledGrounding, SgdConfig, TrainingDiverged,
                             TrainingExample, example_gradient,
                             ground_examples, label_grounding, pair_loss,
-                            ppr_gradient, train)
+                            ppr_gradient, train, train_on_groundings)
 from pprlog.parser import parse_atom, parse_program
 from pprlog.weights import EXP, LINEAR, ParameterVector
 
@@ -261,6 +261,19 @@ def test_single_step_improves_violated_pair():
                        alpha_prime=ALPHA_PRIME)
     h1 = v1[lg.pos_nodes[0]] - v1[lg.neg_nodes[0]]
     assert h1 > h0
+
+
+def test_train_grounds_and_learns_with_its_weighting_function():
+    prog, store, examples = toy_classifier_task()
+    params = GroundingParams(epsilon=1e-3)
+    cfg = SgdConfig(epochs=2, ppr_T=6)
+    result = train(examples, prog, store, params, cfg, seed=3, fn=EXP)
+    groundings = ground_examples(examples, prog, store, params,
+                                 ParameterVector(), EXP)
+    assert result.weights == train_on_groundings(
+        groundings, cfg, 3, params.alpha_prime, EXP).weights
+    assert result.weights != train(examples, prog, store, params, cfg,
+                                   seed=3).weights
 
 
 def test_training_improves_auc_and_is_deterministic():

@@ -23,7 +23,7 @@ from pprlog.facts import load_facts
 from pprlog.graph import (DB_FEATURE, RESTART_FEATURE, SELF_LOOP_FEATURE,
                           serialize)
 from pprlog.grounder import (GroundingParams, ProofNode, Prover, _flat,
-                             _goal_span, _renaming, _row_template, _state,
+                             _renaming, _row_template, _state,
                              approximate_ground, ground_full, make_node,
                              transition_distribution)
 from pprlog.parser import parse_atom, parse_program
@@ -188,13 +188,20 @@ def row_of(goal, values):
     return tuple(a if a >= 0 else values[-1 - a] for a in goal[1:])
 
 
+def goal_span(node) -> tuple[int, int]:
+    """(o, e): the leftmost subgoal of a non-solution node is
+    ``node[o:e]``, so ``node[o + 1:e]`` is its int-coded atom."""
+    o = 1 + node[0]
+    return o, o + 2 + node[o]
+
+
 def goal_state(query, goal, rest):
     """The state <query | goal, rest> of int-coded atoms, and (o, e), the
     goal's place in it."""
     q = _flat(query)
     raw = (len(q), *q, *_flat((goal, *rest)))
     node = _state(raw, _renaming(raw, {}))
-    return node, *_goal_span(node)
+    return node, *goal_span(node)
 
 
 @given(query=st.lists(ATOMS, min_size=1, max_size=2),

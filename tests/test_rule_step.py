@@ -11,12 +11,12 @@ goal's restart counts the rows that step matched.
 
 import pytest
 
-from test_prover_ints import ref_expand, ref_node, relations
+from test_prover_ints import goal_span, ref_expand, ref_node, relations
 from test_unit_step import general_path, items
 from pprlog.facts import load_facts
 from pprlog.grounder import (GroundingError, GroundingParams, Prover,
-                             _goal_span, _renaming, _state, _unify,
-                             approximate_ground, ground_full, make_node)
+                             _renaming, _state, _unify, approximate_ground,
+                             ground_full, make_node)
 from pprlog.graph import DB_FEATURE, RESTART_FEATURE
 from pprlog.parser import parse_atom, parse_program
 from pprlog.terms import decode
@@ -88,7 +88,7 @@ def test_rule_template_gives_the_renamed_state(query, subgoals):
     # a malformed child fails here rather than in its repr
     prover = Prover(parse_program(RULES), load_facts(FACTS))
     node = state(query, subgoals)
-    o, e = _goal_span(node)
+    o, e = goal_span(node)
     goal = node[o + 1:e]
     extra, steps, _, _ = prover._rule_step(node, o, e)
     want = []

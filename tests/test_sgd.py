@@ -6,10 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_grounded_graph
 from graph_build import add_edge
-from pprlog.graph import GroundedGraph, NumericGraph
+from pprlog.graph import (RESTART_FEATURE, SELF_LOOP_FEATURE, GroundedGraph,
+                          NumericGraph)
 from pprlog.grounder import GroundingParams
 from pprlog.kernels import walk_history
 from pprlog.learner import (BUILTIN_FEATURES, SgdConfig, TrainingExample,
@@ -71,6 +73,21 @@ def pair_coefficients(lg, v, loss):
     return coef
 
 
+def assert_reverse_matches_forward(lg, w, fn, cfg):
+    """``example_gradient`` equals the forward Jacobian ``ppr_gradient``
+    gives, chained through the pair coefficients, plus the L2 term."""
+    grad, _, _ = example_gradient(lg, w, fn, cfg, ALPHA_PRIME)
+    v, grads, names = ppr_gradient(lg.graph, w, fn, cfg.ppr_T, ALPHA_PRIME)
+    coef = pair_coefficients(lg, v, cfg.loss)
+    assert coef.any()
+    expected = {name: g + 2.0 * cfg.mu * w[name]
+                for name, g in zip(names, grads @ coef)
+                if name not in cfg.fixed_features}
+    assert grad.keys() == expected.keys()
+    for name, value in expected.items():
+        assert abs(grad[name] - value) <= 1e-12 * max(1.0, abs(value))
+
+
 @pytest.mark.parametrize("fn,loss", [(fn, loss) for fn in (LINEAR, EXP)
                                      for loss in ("squared", "log")],
                          ids=lambda x: getattr(x, "name", x))
@@ -82,17 +99,66 @@ def test_reverse_mode_matches_forward_jacobian(fn, loss):
         w = ParameterVector({f"f{i}": rng.uniform(0.3, 2.0)
                              for i in range(6)})
         lg = grounding_with_every_edge_kind(rng, w, fn)
-        grad, _, _ = example_gradient(lg, w, fn, cfg, ALPHA_PRIME)
-        v, grads, names = ppr_gradient(lg.graph, w, fn, cfg.ppr_T,
-                                       ALPHA_PRIME)
-        coef = pair_coefficients(lg, v, loss)
-        assert coef.any()
-        expected = {name: g + 2.0 * cfg.mu * w[name]
-                    for name, g in zip(names, grads @ coef)
-                    if name not in cfg.fixed_features}
-        assert grad.keys() == expected.keys()
-        for name, value in expected.items():
-            assert abs(grad[name] - value) <= 1e-12 * max(1.0, abs(value))
+        assert_reverse_matches_forward(lg, w, fn, cfg)
+
+
+FEATURES = ("f0", "f1", "f2", "f3")
+
+
+@st.composite
+def drawn_groundings(draw) -> GroundedGraph:
+    """A grounding of 4 to 10 nodes.  The start, node 0, leads to node 1,
+    a frontier node with no edges, and to nodes 2 and 3, solutions with
+    self-loops.  Each other node is a frontier node, a solution or an
+    inner node with one to three edges, each of one or two features.
+    Every node with edges has a restart edge to the start, some with a
+    value low enough to be clamped."""
+    n = draw(st.integers(4, 10))
+    kinds = ["inner", "frontier", "solution", "solution", *draw(st.lists(
+        st.sampled_from(["inner", "solution", "frontier"]),
+        min_size=n - 4, max_size=n - 4))]
+    value = st.floats(0.25, 2.0)
+    g = GroundedGraph([f"n{u}" for u in range(n)])
+    for u, kind in enumerate(kinds):
+        if kind == "frontier":
+            continue
+        add_edge(g, u, 0, {RESTART_FEATURE: draw(
+            st.one_of(st.floats(0.005, 0.05), value))})
+        if kind == "solution":
+            g.solutions[u] = f"answer{u}"
+            add_edge(g, u, u, {SELF_LOOP_FEATURE: 1.0})
+            continue
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=3, unique=True))
+        if u == 0:
+            targets = [1, 2, 3, *(t for t in targets if t > 3)]
+        for dst in targets:
+            features = draw(st.lists(st.sampled_from(FEATURES), min_size=1,
+                                     max_size=2, unique=True))
+            add_edge(g, u, dst, {f: draw(value) for f in features})
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=drawn_groundings(), fn=st.sampled_from([LINEAR, EXP]),
+       loss=st.sampled_from(["squared", "log"]),
+       weights=st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5))
+def test_reverse_mode_matches_forward_jacobian_on_drawn_groundings(
+        g, fn, loss, weights):
+    # a low restart weight clamps restarts; a weight below 0 floors
+    # LINEAR edges, whose slope is then 0
+    w = ParameterVector(zip((*FEATURES, RESTART_FEATURE), weights))
+    cfg = SgdConfig(mu=0.01, loss=loss, ppr_T=8)
+    ng = NumericGraph(g)
+    prob, info = ng.probabilities(w, fn, ALPHA_PRIME)
+    V = walk_history(ng.src, ng.dst, prob, ng.n, ng.start, cfg.ppr_T)
+    # the solutions with the least walk mass are the positives, so the
+    # squared hinge is active where the masses differ
+    lg = labeled(g, sorted(g.solutions, key=lambda s: (V[-1, s], s)))
+    assume(V[-1, lg.pos_nodes].min() < V[-1, lg.neg_nodes].max())
+    # the walk leaves a node with a clamped restart before its last step
+    assume(V[:-1, ng.src[info["clamped"]]].any())
+    assert_reverse_matches_forward(lg, w, fn, cfg)
 
 
 def test_numeric_view_is_built_once_per_grounding(monkeypatch):
