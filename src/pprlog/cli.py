@@ -40,11 +40,16 @@ def _add_common(p: argparse.ArgumentParser, required: bool = True):
     p.add_argument("--rules", required=required, help="rules file")
     p.add_argument("--facts", required=required, help="TSV facts file")
     p.add_argument("--params-in", help="load learned weights (TSV)")
-    # --alpha and --epsilon, when not given, keep GroundingParams's defaults
+    # these, when not given, keep GroundingParams's defaults
     p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-prime", type=float, default=0.1)
+    p.add_argument("--alpha-prime", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--weightfn", choices=sorted(WEIGHT_FNS), default="linear")
+
+
+class _Refused(Exception):
+    """A run refused before it starts: ``main`` prints it as one
+    ``error<TAB>message`` line and exits 2."""
 
 
 def _misused(args) -> tuple[str, list[str]]:
@@ -76,8 +81,8 @@ def _given(**values) -> dict:
 
 def _weighting(args):
     """The grounding parameters, weights and weighting function."""
-    params = GroundingParams(alpha_prime=args.alpha_prime, **_given(
-        alpha=args.alpha, epsilon=args.epsilon,
+    params = GroundingParams(**_given(
+        alpha=args.alpha, alpha_prime=args.alpha_prime, epsilon=args.epsilon,
         max_T=getattr(args, "max_t", None)))
     w = ParameterVector()
     if args.params_in:
@@ -182,26 +187,26 @@ def cmd_answer(args) -> int:
     return 0
 
 
-def _ground_numbered(path, numbered, program, store, params, w, fn):
-    """Ground and label each ``(lineno, example)`` of the examples file
-    ``path``; the first that fails to ground ends the run, named by its
-    file, line and query."""
+def _ground_examples(args):
+    """(groundings, params, fn): each example of the examples file
+    ``args.train`` grounded from the rules and facts, and labeled.  The
+    first that fails to ground ends the run, named by its file, line and
+    query."""
+    program, store, params, w, fn = _setup(args)
     groundings = []
-    for lineno, ex in numbered:
+    for lineno, ex in _read_examples(args.train):
         try:
             g, _, _ = approximate_ground(ex.query, program, store, params, w,
                                          fn)
         except Exception as e:
-            raise ValueError(f"{path} line {lineno}: {ex.query!r}: {e}"
+            raise ValueError(f"{args.train} line {lineno}: {ex.query!r}: {e}"
                              ) from None
         groundings.append(label_grounding(ex, g))
-    return groundings
+    return groundings, params, fn
 
 
 def cmd_ground(args) -> int:
-    program, store, params, w, fn = _setup(args)
-    groundings = _ground_numbered(args.train, _read_examples(args.train),
-                                  program, store, params, w, fn)
+    groundings, _, _ = _ground_examples(args)
     for lg in groundings:
         if not (lg.pos_nodes or lg.neg_nodes):
             print(f"warning\tno labeled solutions for {lg.example.query!r}",
@@ -211,35 +216,28 @@ def cmd_ground(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = SgdConfig(mu=args.mu, eta=args.eta, epochs=args.epochs,
-                    loss=args.loss)
+    cfg = SgdConfig(**_given(mu=args.mu, eta=args.eta, epochs=args.epochs,
+                             loss=args.loss))
     if args.groundings:
         # records hold their groundings: no rules or facts are read for them
         params, w, fn = _weighting(args)
         numbered = _read_examples(args.train)
         graphs = deserialize(Path(args.groundings).read_text())
         if len(graphs) != len(numbered):
-            print(f"error\t{args.groundings} holds {len(graphs)} groundings "
-                  f"but {args.train} holds {len(numbered)} examples",
-                  file=sys.stderr)
-            return 2
+            raise _Refused(f"{args.groundings} holds {len(graphs)} groundings "
+                           f"but {args.train} holds {len(numbered)} examples")
         for i, ((lineno, ex), g) in enumerate(zip(numbered, graphs), 1):
             if g.query != repr(ex.query):
-                print(f"error\t{args.groundings} record {i}: query {g.query} "
-                      f"does not match {args.train} line {lineno} "
-                      f"{ex.query!r}", file=sys.stderr)
-                return 2
+                raise _Refused(f"{args.groundings} record {i}: query "
+                               f"{g.query} does not match {args.train} line "
+                               f"{lineno} {ex.query!r}")
         groundings = [label_grounding(ex, g)
                       for (_, ex), g in zip(numbered, graphs)]
     else:
-        program, store, params, w, fn = _setup(args)
-        groundings = _ground_numbered(args.train, _read_examples(args.train),
-                                      program, store, params, w, fn)
+        groundings, params, fn = _ground_examples(args)
     if not any(lg.usable for lg in groundings):
-        print("error\tno usable training examples "
-              "(each needs a positive and a negative in its grounding)",
-              file=sys.stderr)
-        return 2
+        raise _Refused("no usable training examples "
+                       "(each needs a positive and a negative in its grounding)")
     result = train_on_groundings(groundings, cfg, args.seed,
                                  params.alpha_prime, fn)
     for epoch, loss in enumerate(result.epoch_losses, 1):
@@ -364,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params-out", help="weights file (default stdout)")
     p.add_argument("--seed", type=int, default=0,
                    help="initial weights and example order")
-    p.add_argument("--mu", type=float, default=0.001)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--loss", choices=["squared", "log"], default="squared")
+    # these, when not given, keep SgdConfig's defaults
+    p.add_argument("--mu", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--loss", choices=["squared", "log"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score answers against labels")
@@ -394,16 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    why, options = _misused(args)
-    if options:
-        print(f"error\tpprlog {args.command}: the following arguments are "
-              f"{why}: {', '.join(options)} (see --help)", file=sys.stderr)
-        return 2
     try:
+        why, options = _misused(args)
+        if options:
+            raise _Refused(f"pprlog {args.command}: the following arguments "
+                           f"are {why}: {', '.join(options)} (see --help)")
         return args.func(args)
     except Exception as e:
         print(f"error\t{e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, _Refused) else 1
 
 
 if __name__ == "__main__":

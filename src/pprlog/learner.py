@@ -13,6 +13,7 @@ grounding.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,6 +52,9 @@ class SgdConfig:
     fixed_features: frozenset = BUILTIN_FEATURES
 
     def __post_init__(self):
+        for name, value in (("mu", self.mu), ("eta", self.eta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu < 0 or self.eta <= 0 or self.epochs < 0:
             raise ValueError(f"invalid SGD configuration: {self}")
         if self.loss not in ("squared", "log"):
@@ -126,18 +130,10 @@ def _weight_gradient(ng: NumericGraph, prob, info: dict, fn: WeightFn,
                        minlength=len(ng.feat_names))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairStats:
-    total_pairs: int = 0
-    used_pairs: int = 0
-    missing_positives: int = 0
-    missing_negatives: int = 0
-
-    def merge(self, other: "PairStats"):
-        self.total_pairs += other.total_pairs
-        self.used_pairs += other.used_pairs
-        self.missing_positives += other.missing_positives
-        self.missing_negatives += other.missing_negatives
+    total_pairs: int = 0    # labeled pairs, with answers not in the grounding
+    used_pairs: int = 0     # pairs of solution nodes, which the loss reads
 
 
 @dataclass
@@ -155,6 +151,13 @@ class LabeledGrounding:
         return bool(self.pos_nodes and self.neg_nodes)
 
     @cached_property
+    def pair_stats(self) -> PairStats:
+        return PairStats(
+            (len(self.pos_nodes) + self.missing_positives)
+            * (len(self.neg_nodes) + self.missing_negatives),
+            len(self.pos_nodes) * len(self.neg_nodes))
+
+    @cached_property
     def numeric(self) -> NumericGraph:
         """The grounding's numeric view, built on first use; every SGD
         step on this grounding reuses it."""
@@ -166,36 +169,27 @@ def label_grounding(example: TrainingExample,
     by_answer: dict[str, list[int]] = {}
     for nid, answer in graph.solutions.items():
         by_answer.setdefault(answer, []).append(nid)
-    pos, neg = [], []
-    miss_p = miss_n = 0
-    for a in example.positives:
-        nodes = by_answer.get(a)
-        if nodes:
-            pos.extend(nodes)
-        else:
-            miss_p += 1
-    for a in example.negatives:
-        nodes = by_answer.get(a)
-        if nodes:
-            neg.extend(nodes)
-        else:
-            miss_n += 1
-    for nid in pos:
-        graph.labels[nid] = True
-    for nid in neg:
-        graph.labels[nid] = False
-    return LabeledGrounding(example, graph, sorted(pos), sorted(neg),
-                            miss_p, miss_n)
+    labeled = []    # per sign: its sorted nodes, its answers not found
+    for label, answers in ((True, example.positives),
+                           (False, example.negatives)):
+        nodes = [nid for a in answers for nid in by_answer.get(a, ())]
+        for nid in nodes:
+            graph.labels[nid] = label
+        labeled.append((sorted(nodes),
+                        sum(a not in by_answer for a in answers)))
+    (pos, miss_p), (neg, miss_n) = labeled
+    return LabeledGrounding(example, graph, pos, neg, miss_p, miss_n)
 
 
 def example_gradient(lg: LabeledGrounding, w: ParameterVector, fn: WeightFn,
                      cfg: SgdConfig, alpha_prime: float = 0.1):
     """Gradient of the pairwise loss plus L2 term for one grounding.
 
-    Returns (grad: dict feature -> float, loss, stats).  Regularization
-    is applied lazily, only to features the grounding touches.  The loss
-    is linear in the walk distribution v_T, so one reverse sweep over the
-    stored walk gives the whole weight gradient in O(T * num_edges).
+    Returns (grad: dict feature -> float, loss, lg.pair_stats).
+    Regularization is applied lazily, only to features the grounding
+    touches.  The loss is linear in the walk distribution v_T, so one
+    reverse sweep over the stored walk gives the whole weight gradient in
+    O(T * num_edges).
     """
     if not lg.usable:
         raise ValueError(
@@ -207,12 +201,6 @@ def example_gradient(lg: LabeledGrounding, w: ParameterVector, fn: WeightFn,
     v = V[-1]
     coef = np.zeros(len(v))
     loss = 0.0
-    stats = PairStats(
-        total_pairs=(len(lg.pos_nodes) + lg.missing_positives)
-        * (len(lg.neg_nodes) + lg.missing_negatives),
-        used_pairs=len(lg.pos_nodes) * len(lg.neg_nodes),
-        missing_positives=lg.missing_positives,
-        missing_negatives=lg.missing_negatives)
     for up in lg.pos_nodes:
         for un in lg.neg_nodes:
             if cfg.loss == "squared":
@@ -234,7 +222,7 @@ def example_gradient(lg: LabeledGrounding, w: ParameterVector, fn: WeightFn,
             continue
         grad[name] = gval + 2.0 * cfg.mu * w[name]
         loss += cfg.mu * w[name] * w[name]
-    return grad, float(loss), stats
+    return grad, float(loss), lg.pair_stats
 
 
 def ground_examples(data, program, store, params: GroundingParams,
@@ -293,13 +281,16 @@ def train_on_groundings(groundings, cfg: SgdConfig, seed: int = 0,
         rate = cfg.eta / (epoch * epoch)
         epoch_loss = 0.0
         for lg in order:
-            grad, loss, stats = example_gradient(lg, w, fn, cfg, alpha_prime)
+            grad, loss, _ = example_gradient(lg, w, fn, cfg, alpha_prime)
             for name, gval in grad.items():
                 w[name] = w[name] - rate * gval
             epoch_loss += loss
-            result.pair_stats.merge(stats)
         _check_divergence(w)
         result.epoch_losses.append(epoch_loss)
+    # every epoch took one step on each usable grounding
+    result.pair_stats = PairStats(
+        cfg.epochs * sum(lg.pair_stats.total_pairs for lg in usable),
+        cfg.epochs * sum(lg.pair_stats.used_pairs for lg in usable))
     return result
 
 

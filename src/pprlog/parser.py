@@ -79,43 +79,34 @@ _TOKEN_RE = re.compile(r"""
   | (?P<punct>:-|[().,#])
   | (?P<quoted>'(?:[^'\\]|\\.)*')
   | (?P<name>[A-Za-z0-9_][A-Za-z0-9_-]*)
+  | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
 
 class _Tokenizer:
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        while self.pos < len(self.source):
-            m = _TOKEN_RE.match(self.source, self.pos)
-            if not m:
-                raise ParseError(f"unexpected character {self.source[self.pos]!r}",
-                                 self.line, self.col)
-            text = m.group(0)
-            kind = m.lastgroup
+        self.tokens: list[tuple[str, str, int]] = []   # kind, text, offset
+        for m in _TOKEN_RE.finditer(source):
+            kind, text = m.lastgroup, m.group()
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text!r}",
+                                 *self.place(m.start()))
             # every file a name reaches splits its fields at tabs and
             # its records at line boundaries
             if kind == "quoted" and ("\t" in text
                                      or len(text.splitlines()) > 1):
                 raise ParseError("a quoted name may not hold a tab or a "
-                                 "line break", self.line, self.col)
+                                 "line break", *self.place(m.start()))
             if kind not in ("ws", "comment"):
-                self.tokens.append((kind, text, self.line, self.col))
-            nl = text.count("\n")
-            if nl:
-                self.line += nl
-                self.col = len(text) - text.rfind("\n")
-            else:
-                self.col += len(text)
-            self.pos = m.end()
-        self.tokens.append(("eof", "", self.line, self.col))
+                self.tokens.append((kind, text, m.start()))
+        self.tokens.append(("eof", "", len(source)))
+        self.idx = 0
+
+    def place(self, offset: int) -> tuple[int, int]:
+        """The line and column of ``offset`` in the source, from 1."""
+        return (self.source.count("\n", 0, offset) + 1,
+                offset - self.source.rfind("\n", 0, offset))
 
     def peek(self):
         return self.tokens[self.idx]
@@ -127,10 +118,10 @@ class _Tokenizer:
         return tok
 
     def expect(self, text: str):
-        kind, tok, line, col = self.next()
+        kind, tok, offset = self.next()
         if tok != text:
             raise ParseError(f"expected {text!r}, found {tok or 'end of input'!r}",
-                             line, col)
+                             *self.place(offset))
 
 
 def _unquote(text: str) -> str:
@@ -141,32 +132,31 @@ class _ClauseParser:
     def __init__(self, tok: _Tokenizer):
         self.tok = tok
         self.vars: dict[str, Var] = {}
-        self.next_var = 0
-        self.places: list[tuple[int, int]] = []   # each atom's line, column
+        self.offsets: list[int] = []   # where each atom starts
 
     def _term(self) -> Term:
-        kind, text, line, col = self.tok.next()
+        kind, text, offset = self.tok.next()
         if kind == "quoted":
             return Const(_unquote(text))
         if kind != "name":
-            raise ParseError(f"expected a term, found {text!r}", line, col)
+            raise ParseError(f"expected a term, found {text!r}",
+                             *self.tok.place(offset))
         if text[0].isupper() or text[0] == "_":
             if text not in self.vars:
-                self.vars[text] = Var(self.next_var, text)
-                self.next_var += 1
+                self.vars[text] = Var(len(self.vars), text)
             return self.vars[text]
         return Const(text)
 
     def atom(self) -> Atom:
-        kind, text, line, col = self.tok.next()
-        self.places.append((line, col))
+        kind, text, offset = self.tok.next()
+        self.offsets.append(offset)
         if kind == "quoted":
             pred = _unquote(text)
         elif kind == "name" and not (text[0].isupper() or text[0] == "_"):
             pred = text
         else:
             raise ParseError(f"expected a predicate symbol, found {text!r}",
-                             line, col)
+                             *self.tok.place(offset))
         args: list[Term] = []
         if self.tok.peek()[1] == "(":
             self.tok.next()
@@ -207,9 +197,9 @@ def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a query from the command line."""
     tok = _Tokenizer(text)
     atom = _ClauseParser(tok).atom()
-    kind, t, line, col = tok.peek()
+    kind, t, offset = tok.peek()
     if kind != "eof" and t != ".":
-        raise ParseError(f"trailing input {t!r}", line, col)
+        raise ParseError(f"trailing input {t!r}", *tok.place(offset))
     return atom
 
 
@@ -224,9 +214,10 @@ def parse_program(source: str) -> Program:
         clause = parser.clause(f"c{n}")
         # the head and body atoms were parsed first: a body of "true"
         # alone is empty, and the features come after it
-        for atom, (line, col) in zip(clause.atoms(), parser.places):
+        for atom, offset in zip(clause.atoms(), parser.offsets):
             known = prog.arities.setdefault(atom.pred, atom.arity)
             if known != atom.arity:
+                line, col = tok.place(offset)
                 raise ProgramError(
                     f"line {line}, column {col}: arity conflict for "
                     f"{atom.pred}: used with {atom.arity} args but "

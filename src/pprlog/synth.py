@@ -7,6 +7,7 @@ and write the same TSV facts / query / example formats the CLI consumes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -52,7 +53,10 @@ class SyntheticDbSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("entity_count", 2), ("vocab_size", 0)):
+        if not math.isfinite(self.link_density):
+            raise ValueError("link_density must be finite")
+        for name, low in (("entity_count", 2), ("link_density", 1),
+                          ("vocab_size", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -67,7 +71,7 @@ def hyperlink_db(spec: SyntheticDbSpec, num_queries: int = 16):
         raise ValueError("num_queries must be >= 0")
     rng = random.Random(spec.seed)
     n = spec.entity_count
-    degree = max(1, int(round(spec.link_density)))
+    degree = int(round(spec.link_density))
     docs = [f"d{i}" for i in range(n)]
     labels = ("sport", "fashion")
     lines = []

@@ -1,12 +1,20 @@
 """End-to-end runs of the command line driver, in-process via main()."""
 
 import argparse
+import dataclasses
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import HYPERLINK_FACTS, TABLE_PROGRAM
 from pprlog.cli import build_parser, main
+from pprlog.grounder import GroundingParams
+from pprlog.learner import SgdConfig
+from pprlog.parser import parse_atom
+from pprlog.terms import Const
 from pprlog.weights import load_params
 
 
@@ -288,8 +296,13 @@ PAPERS = "num_papers must be even and >= 4"
     (["--task", "citation", "--papers", "5"], PAPERS),
     (["--task", "hyperlink", "--vocab", "-1"], "vocab_size must be >= 0"),
     (["--task", "hyperlink", "--queries", "-1"], "num_queries must be >= 0"),
+    (["--task", "hyperlink", "--degree", "-3"], "link_density must be >= 1"),
+    (["--task", "hyperlink", "--degree", "0.4"], "link_density must be >= 1"),
+    (["--task", "hyperlink", "--degree", "inf"], "link_density must be finite"),
+    (["--task", "hyperlink", "--degree", "nan"], "link_density must be finite"),
 ], ids=["papers-2", "papers-0", "papers-negative", "papers-odd",
-        "vocab-negative", "queries-negative"])
+        "vocab-negative", "queries-negative", "degree-negative",
+        "degree-below-one", "degree-inf", "degree-nan"])
 def test_synth_refuses_what_it_cannot_honour(tmp_path, capsys, options,
                                               message):
     # two papers would put their one pair in the test split and leave
@@ -685,3 +698,72 @@ def test_eval_refuses_unparsable_example_atom(tmp_path, capsys):
     err = one_error_line(capsys)
     assert f"{tmp_path / 'labels.tsv'} line 2: 'q(a,X' column 6: " in err
     assert "line 1" not in err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--mu", "nan"), ("--mu", "inf"), ("--eta", "inf"), ("--eta", "-inf"),
+    ("--eta", "nan")])
+def test_train_refuses_a_non_finite_mu_or_eta(workspace, capsys, option,
+                                              value):
+    # refused before any file is read, naming the option's field
+    out = workspace / "w.tsv"
+    assert run(["train", *common(workspace), "--train",
+                workspace / "train.tsv", f"{option}={value}",
+                "--params-out", out]) == 1
+    assert one_error_line(capsys) == (
+        f"error\t{option[2:]} must be finite, got {float(value)}\n")
+    assert not out.exists()
+
+
+def test_options_left_out_keep_the_library_defaults():
+    # an option whose value reaches a GroundingParams or SgdConfig field
+    # (the option's name is the field's, in lower case) defaults to None,
+    # so each default is written once, in the library's config
+    fields = {f.name.lower() for config in (GroundingParams, SgdConfig)
+              for f in dataclasses.fields(config)}
+    defaults = {}
+    for argv in (["answer", "--rules", "r", "--facts", "f", "--queries", "q"],
+                 ["ground", "--rules", "r", "--facts", "f", "--train", "t"],
+                 ["train", "--train", "t"],
+                 ["eval", "--answers", "a", "--labels", "l"],
+                 ["synth", "--out-dir", "d"]):
+        for dest, value in vars(build_parser().parse_args(argv)).items():
+            if dest in fields:
+                defaults[argv[0], dest] = value
+    assert {dest for _, dest in defaults} == {
+        "alpha", "alpha_prime", "epsilon", "max_t", "mu", "eta", "epochs",
+        "loss"}
+    assert {key: value for key, value in defaults.items()
+            if value is not None} == {}
+
+
+# a tab and every line boundary str.splitlines splits at: no field of a
+# facts file can hold one
+FIELD_BREAKS = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+NAMES = st.text(st.sampled_from("'\\,()% _-.aZ09\u00e9\u4e2d")
+                | st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters=FIELD_BREAKS),
+                max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(NAMES, min_size=1, max_size=4, unique=True))
+def test_every_printed_answer_parses_back_to_itself(names):
+    # quotes, backslashes, commas, uppercase or digit starts, the empty
+    # name and non-ASCII: each answer line names its constant so that
+    # the parser reads back the same atom
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        (d / "rules.pl").write_text("")
+        (d / "facts.tsv").write_text("".join(f"p\t{n}\n" for n in names))
+        (d / "queries.txt").write_text("p(X)\n")
+        assert run(["answer", "--rules", d / "rules.pl", "--facts",
+                    d / "facts.tsv", "--queries", d / "queries.txt",
+                    "--out", d / "answers.tsv"]) == 0
+        lines = (d / "answers.tsv").read_text().splitlines()
+    assert lines[0] == "query\tp(X)"
+    printed = [line.split("\t")[2] for line in lines[1:]]
+    atoms = [parse_atom(text) for text in printed]
+    assert [repr(atom) for atom in atoms] == printed
+    assert len(atoms) == len(names)
+    assert {atom.args for atom in atoms} == {(Const(n),) for n in names}
